@@ -10,10 +10,7 @@
 // --analysis adds the dataflow analyses (A1 X-propagation, A2 min-delay
 // races, A3 borrowing chains, A4/A5 clock-domain crossings, A6
 // reset-domain crossings) to every checkpoint: clean conversions must
-// stay clean under them too, and the same grid re-runs inline twice —
-// once with FlowOptions::incremental_analysis off and once on — requiring
-// byte-identical per-stage reports and recording the wall-clock delta of
-// the incremental AnalysisSession. --seeded additionally runs six
+// stay clean under them too. --seeded additionally runs six
 // hand-built netlists that each violate exactly one analysis class and
 // requires the matching rule to fire — the detection (false-negative)
 // half of the gate. --out writes the whole verdict as one JSON artifact
@@ -22,9 +19,8 @@
 //   $ ./bench/lint_smoke [--json] [--cycles N] [--threads N] [NAME...]
 //   $ ./bench/lint_smoke --analysis --seeded --out BENCH_lint.json
 //
-// Exit status: 0 when every stage of every run is clean, every seeded
-// violation was detected, and every incremental report matched its full
-// twin byte-for-byte; 1 otherwise.
+// Exit status: 0 when every stage of every run is clean and every seeded
+// violation was detected; 1 otherwise.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -255,54 +251,6 @@ struct SeededResult {
   std::string first_message;
 };
 
-/// One cell of the incremental-vs-full gate: the same flow run twice
-/// inline (no executor, so the AnalysisSession path is active), once per
-/// FlowOptions::incremental_analysis setting.
-struct IncrCell {
-  std::string design;
-  std::string style;
-  bool identical = false;
-  double full_lint_s = 0;
-  double incremental_lint_s = 0;
-  std::string error;
-};
-
-bool stage_reports_identical(const RuleChecks& a, const RuleChecks& b) {
-  if (a.stages.size() != b.stages.size()) return false;
-  for (std::size_t i = 0; i < a.stages.size(); ++i) {
-    if (a.stages[i].stage != b.stages[i].stage) return false;
-    if (a.stages[i].report.to_json() != b.stages[i].report.to_json()) {
-      return false;
-    }
-  }
-  return true;
-}
-
-IncrCell run_incremental_cell(const std::string& name, DesignStyle style,
-                              std::size_t cycles) {
-  IncrCell cell;
-  cell.design = name;
-  cell.style = std::string(style_name(style));
-  try {
-    const circuits::Benchmark bench = circuits::make_benchmark(name);
-    const Stimulus stim = circuits::make_stimulus(
-        bench, circuits::Workload::kPaperDefault, cycles, 7);
-    FlowOptions options;
-    options.check_rules = true;
-    options.check_analysis = true;
-    options.incremental_analysis = false;
-    const FlowResult full = run_flow(bench, style, stim, options);
-    options.incremental_analysis = true;
-    const FlowResult incremental = run_flow(bench, style, stim, options);
-    cell.full_lint_s = full.times.lint_s;
-    cell.incremental_lint_s = incremental.times.lint_s;
-    cell.identical = stage_reports_identical(full.lint, incremental.lint);
-  } catch (const Error& e) {
-    cell.error = e.what();
-  }
-  return cell;
-}
-
 SeededResult run_seeded(Seeded seeded) {
   SeededResult out;
   out.name = seeded.name;
@@ -356,30 +304,9 @@ int main(int argc, char** argv) {
   plan.options.check_analysis = analysis;
 
   std::vector<MatrixResult> results;
-  std::vector<IncrCell> incr_cells;
   try {
     util::Executor executor(threads);
     results = run_matrix(plan, executor);
-    if (analysis) {
-      // Incremental-vs-full gate over the same grid: every cell runs the
-      // flow twice inline, so the AnalysisSession's dirty-cone path is
-      // exercised (the executor path above always analyzes snapshots in
-      // full). Cells are independent and run on the pool.
-      std::vector<std::future<IncrCell>> futures;
-      futures.reserve(results.size());
-      for (const MatrixResult& run : results) {
-        if (!run.ok()) continue;
-        const std::string name = run.task.benchmark;
-        const DesignStyle style = run.task.style;
-        futures.push_back(executor.submit(
-            [name, style, cycles] {
-              return run_incremental_cell(name, style, cycles);
-            }));
-      }
-      for (std::future<IncrCell>& f : futures) {
-        incr_cells.push_back(executor.wait(std::move(f)));
-      }
-    }
   } catch (const Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
@@ -475,47 +402,7 @@ int main(int argc, char** argv) {
     artifact.end_array();
   }
 
-  // Incremental-vs-full verdict: byte-identity is a hard gate, the
-  // wall-clock delta of the AnalysisSession is recorded for tracking.
-  int mismatched = 0;
-  if (!incr_cells.empty()) {
-    double full_total = 0, incr_total = 0;
-    artifact.key("incremental").begin_object();
-    artifact.key("runs").begin_array();
-    for (const IncrCell& cell : incr_cells) {
-      if (!cell.error.empty() || !cell.identical) ++mismatched;
-      full_total += cell.full_lint_s;
-      incr_total += cell.incremental_lint_s;
-      artifact.begin_object();
-      artifact.key("design").value(cell.design);
-      artifact.key("style").value(cell.style);
-      artifact.key("identical").value(cell.identical);
-      artifact.key("full_lint_s").value(cell.full_lint_s);
-      artifact.key("incremental_lint_s").value(cell.incremental_lint_s);
-      if (!cell.error.empty()) artifact.key("error").value(cell.error);
-      artifact.end_object();
-      if (!json && (!cell.identical || !cell.error.empty())) {
-        std::printf("incremental %-8s %-5s MISMATCH%s%s\n",
-                    cell.design.c_str(), cell.style.c_str(),
-                    cell.error.empty() ? "" : ": ", cell.error.c_str());
-      }
-    }
-    artifact.end_array();
-    artifact.key("full_lint_seconds").value(full_total);
-    artifact.key("incremental_lint_seconds").value(incr_total);
-    artifact.key("speedup")
-        .value(incr_total > 0 ? full_total / incr_total : 0.0);
-    artifact.key("identical").value(mismatched == 0);
-    artifact.end_object();
-    if (!json) {
-      std::printf("incremental analysis: %zu/%zu byte-identical, lint "
-                  "%.2f s full vs %.2f s incremental (%.2fx)\n",
-                  incr_cells.size() - static_cast<std::size_t>(mismatched),
-                  incr_cells.size(), full_total, incr_total,
-                  incr_total > 0 ? full_total / incr_total : 0.0);
-    }
-  }
-  artifact.key("clean").value(dirty == 0 && missed == 0 && mismatched == 0);
+  artifact.key("clean").value(dirty == 0 && missed == 0);
   artifact.end_object();
 
   if (!out_file.empty()) {
@@ -534,5 +421,5 @@ int main(int argc, char** argv) {
     }
     std::printf(" (lint %.2f s)\n", lint_seconds);
   }
-  return dirty == 0 && missed == 0 && mismatched == 0 ? 0 : 1;
+  return dirty == 0 && missed == 0 ? 0 : 1;
 }

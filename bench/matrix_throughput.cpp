@@ -10,10 +10,8 @@
 // uploaded as an artifact to track the perf trajectory over time.
 //
 // With --lanes N >= 2 every task simulates N stimulus lanes bit-parallel
-// (RunPlan::lanes), and a third serial pass with the scalar lane-by-lane
-// engine (FlowOptions::wide_sim off) gates the wide engine's bit-identity
-// contract at the matrix level: serial-wide, serial-scalar, and parallel-
-// wide must all match bit-for-bit.
+// (RunPlan::lanes) in one WideSimulator pass; the serial and parallel
+// passes must still match bit-for-bit.
 //
 //   $ ./bench/matrix_throughput [--cycles N] [--threads N] [--lanes N]
 //                               [--out FILE]
@@ -102,8 +100,7 @@ int main(int argc, char** argv) {
                    "worker threads for the parallel pass (default "
                    "TP_THREADS or hardware)");
   parser.add_value("--lanes", &lanes,
-                   "stimulus lanes per task, 1-64; lanes >= 2 add a "
-                   "wide-vs-scalar-engine divergence gate (default 1)");
+                   "stimulus lanes per task, 1-64 (default 1)");
   parser.add_value("--out", &out_file,
                    "JSON output path (default BENCH_matrix.json)", "FILE");
   parser.parse_or_exit(argc, argv);
@@ -160,32 +157,6 @@ int main(int argc, char** argv) {
                  threads, diff.c_str());
   }
 
-  // Engine gate: with multi-lane tasks, a scalar lane-by-lane pass must
-  // reproduce the wide-simulator results bit-for-bit.
-  int engine_divergent = 0;
-  if (lanes >= 2) {
-    wall.reset();
-    RunPlan scalar_plan = plan;
-    scalar_plan.options.wide_sim = false;
-    const std::vector<MatrixResult> scalar_engine = run_matrix(scalar_plan);
-    const double scalar_engine_s = wall.seconds();
-    std::printf("  scalar    %7.2f s (scalar-engine reference, %.2fx vs "
-                "wide serial)\n",
-                scalar_engine_s,
-                serial_s > 0 ? scalar_engine_s / serial_s : 0.0);
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-      const std::string diff = compare(scalar_engine[i], serial[i]);
-      if (diff.empty()) continue;
-      ++engine_divergent;
-      std::fprintf(stderr,
-                   "DIVERGENCE: %s/%s differs between scalar and wide "
-                   "engines (%s)\n",
-                   serial[i].task.benchmark.c_str(),
-                   std::string(style_name(serial[i].task.style)).c_str(),
-                   diff.c_str());
-    }
-  }
-
   // Histogram from the serial pass: parallel-run stage stopwatches are
   // inflated by core contention, the serial ones measure the real work.
   StageSums stages;
@@ -208,7 +179,6 @@ int main(int argc, char** argv) {
   w.key("speedup").value(speedup);
   w.key("tasks_per_s").value(parallel.size() / parallel_s);
   w.key("identical").value(divergent == 0);
-  w.key("wide_identical").value(engine_divergent == 0);
   w.key("stage_seconds").begin_object();
   w.key("synthesis").value(stages.synthesis);
   w.key("ilp").value(stages.ilp);
@@ -226,15 +196,13 @@ int main(int argc, char** argv) {
   out << w.take() << "\n";
   std::printf("  wrote     %s\n", out_file.c_str());
 
-  if (divergent > 0 || engine_divergent > 0) {
-    std::fprintf(stderr, "%d/%zu tasks diverged across thread counts, "
-                 "%d/%zu across engines\n",
-                 divergent, serial.size(), engine_divergent, serial.size());
+  if (divergent > 0) {
+    std::fprintf(stderr, "%d/%zu tasks diverged across thread counts\n",
+                 divergent, serial.size());
     return 1;
   }
   std::printf("  identical %zu/%zu tasks bit-identical across thread "
-              "counts%s\n",
-              serial.size(), serial.size(),
-              lanes >= 2 ? " and sim engines" : "");
+              "counts\n",
+              serial.size(), serial.size());
   return 0;
 }

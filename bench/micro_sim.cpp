@@ -83,7 +83,7 @@ struct Row {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> circuits_arg, backends_arg, styles_arg;
+  std::vector<std::string> circuits_arg, backends_arg;
   std::size_t lanes = 64, cycles = 32, repeat = 3;
   std::string out_file = "BENCH_sim.json";
 
@@ -98,8 +98,6 @@ int main(int argc, char** argv) {
   parser.add_list("--backend", &backends_arg,
                   "conversion backend to include, any registered token "
                   "(repeatable; default ff 3p)",
-                  "TOKEN");
-  parser.add_list("--style", &styles_arg, "deprecated alias of --backend",
                   "TOKEN");
   parser.add_value("--lanes", &lanes,
                    "stimulus lanes per measurement, 1-64 (default 64)");
@@ -118,7 +116,6 @@ int main(int argc, char** argv) {
   if (circuits_arg.empty()) {
     circuits_arg = {"s13207", "s35932", "SHA256", "Plasma"};
   }
-  if (backends_arg.empty()) backends_arg = styles_arg;
   if (backends_arg.empty()) backends_arg = {"ff", "3p"};
 
   const std::uint64_t total_cycles =

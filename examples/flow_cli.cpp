@@ -9,8 +9,6 @@
 //   $ ./examples/flow_cli --circuit s5378 --backend 3p --no-retime --no-ddcg
 //   $ ./examples/flow_cli --circuit s9234 --preset no-gating
 //   $ ./examples/flow_cli --list
-//
-// --style is a deprecated alias of --backend (see docs/backends.md).
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -29,7 +27,7 @@ using namespace tp::flow;
 
 int main(int argc, char** argv) {
   std::string circuit, in_file, out_file, dot_file, vcd_file;
-  std::string backend_text, style_text;
+  std::string backend_text;
   std::string workload_text = "paper";
   std::string preset = "paper";
   std::size_t cycles = 192, lanes = 1;
@@ -48,18 +46,14 @@ int main(int argc, char** argv) {
   parser.add_value("--backend", &backend_text,
                    "conversion backend (see --list-backends; default 3p)",
                    "B");
-  parser.add_value("--style", &style_text,
-                   "deprecated alias of --backend", "B");
   parser.add_value("--workload", &workload_text,
                    "paper|dhrystone|coremark (default paper)", "W");
   parser.add_value("--cycles", &cycles, "simulated cycles (default 192)");
   parser.add_value("--lanes", &lanes,
-                   "stimulus lanes, 1-64; lanes >= 2 split the cycle "
-                   "budget across a bit-parallel wide simulation "
-                   "(default 1)");
+                   "stimulus lanes, 1-64, simulated bit-parallel; the "
+                   "cycle budget is split across them (default 1)");
   parser.add_value("--vcd", &vcd_file,
-                   "dump a VCD of the validation simulation (first lane; "
-                   "forces the scalar engine for that sim)",
+                   "dump a VCD of the validation simulation (first lane)",
                    "FILE.vcd");
   parser.add_value("--preset", &preset,
                    "FlowOptions preset: paper|fast|no-gating (default "
@@ -125,10 +119,7 @@ int main(int argc, char** argv) {
   if (check) options.check_equivalence = true;
   if (enabled_style) options.synthesis_cg.style = CgStyle::kEnabled;
 
-  // --backend wins over the deprecated --style alias; default 3p.
-  const std::string token = !backend_text.empty() ? backend_text
-                            : !style_text.empty() ? style_text
-                                                  : "3p";
+  const std::string token = !backend_text.empty() ? backend_text : "3p";
   DesignStyle style;
   if (!style_from_name(token, &style)) {
     std::fprintf(stderr, "unknown --backend '%s' (valid: %s)\n%s",

@@ -13,8 +13,6 @@
 //   $ ./examples/lint_cli --circuit s5378 --backend det --domains
 //   $ ./examples/lint_cli --list-rules
 //
-// --style is a deprecated alias of --backend (see docs/backends.md).
-//
 // Exit status: 0 clean, 1 unwaived violations, 2 usage error. Usage
 // errors on rule tokens are structured: with --json they also emit a
 // serve-style {"ok":false,"error":...} object on stdout.
@@ -79,7 +77,7 @@ int unknown_rule_error(const std::string& token, bool json) {
 
 int main(int argc, char** argv) {
   std::string circuit, in_file, waiver_file, baseline_file;
-  std::string backend_text, style_text;
+  std::string backend_text;
   std::vector<std::string> disabled;
   bool json = false, quiet = false, stages = false, rules = false;
   bool analysis = false, domains = false;
@@ -99,8 +97,6 @@ int main(int argc, char** argv) {
                    "backend token ff|ms|3p|pl|2p|det (default raw; "
                    "conversion runs the flow)",
                    "B");
-  parser.add_value("--style", &style_text,
-                   "deprecated alias of --backend", "B");
   parser.add_flag("--stages", &stages,
                   "rule-check after every flow stage and blame the first "
                   "offending stage (non-raw styles only)");
@@ -173,10 +169,7 @@ int main(int argc, char** argv) {
     FlowResult result;
     // The netlist the report (and --domains table) describes.
     const Netlist* linted = &bench.netlist;
-    // --backend wins over the deprecated --style alias; default raw.
-    const std::string token = !backend_text.empty() ? backend_text
-                              : !style_text.empty() ? style_text
-                                                    : "raw";
+    const std::string token = !backend_text.empty() ? backend_text : "raw";
     if (token == "raw") {
       report = check::run_checks(bench.netlist, check_options);
       if (analysis) {

@@ -9,8 +9,6 @@
 //   $ ./examples/matrix_cli --threads 8 --cycles 96 --check-rules
 //   $ ./examples/matrix_cli --preset fast --json
 //
-// --style is a deprecated alias of --backend (see docs/backends.md).
-//
 // Results are bit-identical for any --threads value (see
 // docs/parallelism.md for the determinism contract).
 //
@@ -46,7 +44,7 @@ void on_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> circuits_arg, backends_arg, styles_arg;
+  std::vector<std::string> circuits_arg, backends_arg;
   std::string workload_text = "paper";
   std::string preset = "paper";
   std::size_t cycles = 96, threads = 0, seed = 7, lanes = 1;
@@ -61,8 +59,6 @@ int main(int argc, char** argv) {
                   "conversion backend to include: ff|ms|3p|pl|2p|det "
                   "(repeatable; default ff ms 3p)",
                   "B");
-  parser.add_list("--style", &styles_arg,
-                  "deprecated alias of --backend", "B");
   parser.add_value("--workload", &workload_text,
                    "paper|dhrystone|coremark (default paper)", "W");
   parser.add_value("--cycles", &cycles, "simulated cycles (default 96)");
@@ -96,12 +92,9 @@ int main(int argc, char** argv) {
                  parser.usage().c_str());
     return 2;
   }
-  // --backend wins over the deprecated --style alias.
-  const std::vector<std::string>& tokens =
-      !backends_arg.empty() ? backends_arg : styles_arg;
-  if (!tokens.empty()) {
+  if (!backends_arg.empty()) {
     plan.styles.clear();
-    for (const std::string& text : tokens) {
+    for (const std::string& text : backends_arg) {
       DesignStyle style;
       if (!style_from_name(text, &style)) {
         std::fprintf(stderr, "unknown --backend '%s' (valid: %s)\n%s",

@@ -45,8 +45,7 @@ check::CheckReport run_analysis(const Netlist& netlist,
     rule_min_delay_race(ctx, options);
   }
   if (enabled(check::RuleId::kBorrowChain)) rule_borrow_chain(ctx, options);
-  // The domain rules share one inference pass; dispatch order must match
-  // AnalysisSession::run_wave so incremental reports are byte-identical.
+  // The domain rules share one inference pass.
   const bool any_domain_rule = enabled(check::RuleId::kCdcUnsync) ||
                                enabled(check::RuleId::kCdcReconverge) ||
                                enabled(check::RuleId::kRdcCrossing);

@@ -20,8 +20,7 @@
 //
 // Three more rules — A4 cdc-unsync, A5 cdc-reconverge, A6 rdc-crossing —
 // consume the clock/reset-domain labels of src/analysis/domains.hpp and
-// dispatch from the same run_analysis() entry point; domains.hpp also
-// hosts the incremental AnalysisSession.
+// dispatch from the same run_analysis() entry point.
 //
 // The rules live in the src/check/ registry (diagnostics, waivers, JSON
 // reports, per-stage blame all apply), but run_checks() cannot evaluate

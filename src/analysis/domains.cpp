@@ -1,6 +1,5 @@
 #include "src/analysis/domains.hpp"
 
-#include <algorithm>
 #include <set>
 #include <utility>
 
@@ -30,16 +29,13 @@ struct ClockWalk {
 /// Backward walk from a clock pin to a phase root. Mirrors the kind
 /// dispatch of check::RuleContext::clock_trace (clock buffers pass,
 /// inverters flip, ICGs follow their clock input, dividers halve the rate
-/// without inverting); anything else ends the walk unresolved. Every net
-/// stepped through lands in `support`.
-ClockWalk trace_clock(const Netlist& netlist, NetId start,
-                      std::vector<NetId>* support) {
+/// without inverting); anything else ends the walk unresolved.
+ClockWalk trace_clock(const Netlist& netlist, NetId start) {
   ClockWalk walk;
   NetId at = start;
   bool inverted = false;
   int ratio = 1;
   for (int step = 0; step < kMaxWalkSteps; ++step) {
-    support->push_back(at);
     for (const PhaseWaveform& wave : netlist.clocks().phases) {
       if (wave.root == at) {
         walk.found = true;
@@ -80,12 +76,10 @@ ClockWalk trace_clock(const Netlist& netlist, NetId start,
 /// Backward walk from a register's associated reset net to a declared
 /// ResetRoot, through plain/clock buffers and inverters (inverters flip
 /// the effective sense).
-void trace_reset(const Netlist& netlist, NetId start, DomainLabel* label,
-                 std::vector<NetId>* support) {
+void trace_reset(const Netlist& netlist, NetId start, DomainLabel* label) {
   NetId at = start;
   bool flipped = false;
   for (int step = 0; step < kMaxWalkSteps; ++step) {
-    support->push_back(at);
     for (const ResetRoot& root : netlist.reset_roots()) {
       if (root.net == at) {
         label->reset_root = at;
@@ -113,12 +107,10 @@ void trace_reset(const Netlist& netlist, NetId start, DomainLabel* label,
   }
 }
 
-DomainLabel infer_label(const Netlist& netlist, CellId reg,
-                        std::vector<NetId>* support) {
+DomainLabel infer_label(const Netlist& netlist, CellId reg) {
   const Cell& cell = netlist.cell(reg);
   DomainLabel label;
-  const ClockWalk walk =
-      trace_clock(netlist, cell.ins[clock_pin(cell.kind)], support);
+  const ClockWalk walk = trace_clock(netlist, cell.ins[clock_pin(cell.kind)]);
   if (walk.found) {
     label.clocked = true;
     label.clock_root = walk.root;
@@ -129,7 +121,7 @@ DomainLabel infer_label(const Netlist& netlist, CellId reg,
         walk.divide_ratio * (cell.kind == CellKind::kDffDet ? 1 : 2);
   }
   const NetId reset = netlist.reset_of(reg);
-  if (reset.valid()) trace_reset(netlist, reset, &label, support);
+  if (reset.valid()) trace_reset(netlist, reset, &label);
   return label;
 }
 
@@ -189,13 +181,10 @@ std::set<std::uint32_t> comb_cone(const Netlist& netlist, NetId net,
 DomainTable infer_domains(const Netlist& netlist) {
   DomainTable table;
   for (const CellId reg : netlist.registers()) {
-    std::vector<NetId> support;
-    DomainLabel label = infer_label(netlist, reg, &support);
     table.index.emplace(reg.value(),
                         static_cast<int>(table.regs.size()));
     table.regs.push_back(reg);
-    table.labels.push_back(label);
-    table.support.push_back(std::move(support));
+    table.labels.push_back(infer_label(netlist, reg));
   }
   return table;
 }
@@ -427,169 +416,6 @@ void rule_rdc_crossing(check::RuleContext& ctx,
 void rule_rdc_crossing(check::RuleContext& ctx,
                        const AnalysisOptions& options) {
   rule_rdc_crossing(ctx, options, infer_domains(ctx.netlist()));
-}
-
-// --- AnalysisSession --------------------------------------------------------
-
-AnalysisSession::AnalysisSession(AnalysisOptions options)
-    : options_(std::move(options)) {}
-
-bool AnalysisSession::plan_changed(const Netlist& netlist) const {
-  if (netlist.name() != cached_name_) return true;
-  const ClockSpec& clocks = netlist.clocks();
-  if (clocks.period_ps != cached_clocks_.period_ps ||
-      clocks.phases.size() != cached_clocks_.phases.size()) {
-    return true;
-  }
-  for (std::size_t i = 0; i < clocks.phases.size(); ++i) {
-    const PhaseWaveform& a = clocks.phases[i];
-    const PhaseWaveform& b = cached_clocks_.phases[i];
-    if (a.phase != b.phase || a.root != b.root || a.rise_ps != b.rise_ps ||
-        a.fall_ps != b.fall_ps) {
-      return true;
-    }
-  }
-  if (netlist.reset_roots().size() != cached_resets_.size()) return true;
-  for (std::size_t i = 0; i < cached_resets_.size(); ++i) {
-    const ResetRoot& a = netlist.reset_roots()[i];
-    const ResetRoot& b = cached_resets_[i];
-    if (a.net != b.net || a.active_low != b.active_low ||
-        a.release_order != b.release_order) {
-      return true;
-    }
-  }
-  return netlist.reset_assignments().size() != cached_reset_assignments_;
-}
-
-check::CheckReport AnalysisSession::run_wave(const Netlist& netlist) {
-  check::RuleContext ctx(netlist, options_.check);
-  const auto enabled = [&](check::RuleId id) {
-    return std::find(options_.check.disabled.begin(),
-                     options_.check.disabled.end(),
-                     id) == options_.check.disabled.end();
-  };
-  if (enabled(check::RuleId::kXProp)) rule_xprop(ctx, options_);
-  if (enabled(check::RuleId::kMinDelayRace)) {
-    rule_min_delay_race(ctx, options_);
-  }
-  if (enabled(check::RuleId::kBorrowChain)) rule_borrow_chain(ctx, options_);
-  if (enabled(check::RuleId::kCdcUnsync)) {
-    rule_cdc_unsync(ctx, options_, table_);
-  }
-  if (enabled(check::RuleId::kCdcReconverge)) {
-    rule_cdc_reconverge(ctx, options_, table_);
-  }
-  if (enabled(check::RuleId::kRdcCrossing)) {
-    rule_rdc_crossing(ctx, options_, table_);
-  }
-  return check::finalize_report(netlist, ctx.take(), options_.check);
-}
-
-check::CheckReport AnalysisSession::analyze(const Netlist& netlist) {
-  table_ = infer_domains(netlist);
-  stats_.labels_recomputed += static_cast<std::int64_t>(table_.regs.size());
-  ++stats_.full_runs;
-  cached_report_ = run_wave(netlist);
-  cached_clocks_ = netlist.clocks();
-  cached_resets_ = netlist.reset_roots();
-  cached_reset_assignments_ = netlist.reset_assignments().size();
-  cached_name_ = netlist.name();
-  primed_ = true;
-  return cached_report_;
-}
-
-check::CheckReport AnalysisSession::reanalyze(const Netlist& netlist,
-                                              const TouchedSet& touched) {
-  if (!primed_) return analyze(netlist);
-  const bool replan = plan_changed(netlist);
-  if (touched.empty() && !replan) {
-    // Nothing mutated since the last wave: the cached report is the
-    // full-re-analysis result by definition.
-    ++stats_.skipped_runs;
-    return cached_report_;
-  }
-  if (replan) return analyze(netlist);
-
-  // Dirty fanout cone: forward closure of the touched ids over the net ->
-  // fanout-cell -> output-net relation (registers and clock cells are
-  // crossed — downstream labels and analyses may see the change).
-  std::vector<char> net_dirty(netlist.num_nets(), 0);
-  std::vector<char> cell_dirty(netlist.num_cells(), 0);
-  std::vector<NetId> frontier;
-  const auto seed_net = [&](NetId net) {
-    if (net.valid() && !net_dirty[net.value()]) {
-      net_dirty[net.value()] = 1;
-      frontier.push_back(net);
-    }
-  };
-  for (const CellId id : touched.cells) {
-    cell_dirty[id.value()] = 1;
-    seed_net(netlist.cell(id).out);
-  }
-  for (const NetId id : touched.nets) seed_net(id);
-  while (!frontier.empty()) {
-    const NetId at = frontier.back();
-    frontier.pop_back();
-    for (const PinRef& ref : netlist.net(at).fanouts) {
-      if (cell_dirty[ref.cell.value()]) continue;
-      cell_dirty[ref.cell.value()] = 1;
-      seed_net(netlist.cell(ref.cell).out);
-    }
-  }
-  // A register whose reset association routes through a dirty net is
-  // dirty even without a data-path connection.
-  for (const auto& [reg, net] : netlist.reset_assignments()) {
-    if (net.valid() && net_dirty[net.value()]) cell_dirty[reg] = 1;
-  }
-
-  std::size_t dirty_cells = 0;
-  std::size_t live_cells = 0;
-  for (std::uint32_t i = 0; i < netlist.num_cells(); ++i) {
-    if (!netlist.cell(CellId{i}).alive) continue;
-    ++live_cells;
-    if (cell_dirty[i]) ++dirty_cells;
-  }
-  if (dirty_cells * 2 > live_cells) {
-    // The edit rewrote most of the design (latch substitution, retiming):
-    // patching labels would walk nearly everything anyway.
-    return analyze(netlist);
-  }
-
-  // Patch the domain table: a cached label stays valid iff neither the
-  // register nor any net its clock/reset walk stepped through is dirty.
-  DomainTable fresh;
-  for (const CellId reg : netlist.registers()) {
-    const auto row = table_.index.find(reg.value());
-    bool reuse = row != table_.index.end() && !cell_dirty[reg.value()];
-    if (reuse) {
-      for (const NetId net : table_.support[row->second]) {
-        if (net_dirty[net.value()]) {
-          reuse = false;
-          break;
-        }
-      }
-    }
-    fresh.index.emplace(reg.value(), static_cast<int>(fresh.regs.size()));
-    fresh.regs.push_back(reg);
-    if (reuse) {
-      fresh.labels.push_back(table_.labels[row->second]);
-      fresh.support.push_back(table_.support[row->second]);
-      ++stats_.labels_reused;
-    } else {
-      std::vector<NetId> support;
-      fresh.labels.push_back(infer_label(netlist, reg, &support));
-      fresh.support.push_back(std::move(support));
-      ++stats_.labels_recomputed;
-    }
-  }
-  table_ = std::move(fresh);
-  ++stats_.incremental_runs;
-  cached_report_ = run_wave(netlist);
-  cached_clocks_ = netlist.clocks();
-  cached_resets_ = netlist.reset_roots();
-  cached_reset_assignments_ = netlist.reset_assignments().size();
-  cached_name_ = netlist.name();
-  return cached_report_;
 }
 
 }  // namespace tp::analysis

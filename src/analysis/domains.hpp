@@ -24,13 +24,6 @@
 //   A6  rdc-crossing   — a data edge from a register reset by one async
 //                        root into a register reset by a different root
 //                        that is released no later than the source's.
-//
-// AnalysisSession adds dirty-cone invalidation on top: transform stages
-// drain the netlist mutation journal (Netlist::take_touched) into
-// reanalyze(), which re-derives domain labels only inside the dirty
-// fanout cone and skips the whole A1-A6 wave when nothing changed —
-// byte-identical to a full run_analysis() by construction (and gated by
-// tests). docs/analysis.md has the full contract.
 #pragma once
 
 #include <cstdint>
@@ -71,13 +64,10 @@ struct DomainLabel {
   [[nodiscard]] bool has_reset() const { return reset_root.valid(); }
 };
 
-/// Domain labels for every live register, in cell-id order, plus the
-/// support nets each label was derived from (the nets on the traced clock
-/// and reset paths) — the invalidation key for AnalysisSession.
+/// Domain labels for every live register, in cell-id order.
 struct DomainTable {
   std::vector<CellId> regs;
-  std::vector<DomainLabel> labels;             // parallel to regs
-  std::vector<std::vector<NetId>> support;     // parallel to regs
+  std::vector<DomainLabel> labels;               // parallel to regs
   std::unordered_map<std::uint32_t, int> index;  // cell id -> row
 
   [[nodiscard]] const DomainLabel* label_of(CellId reg) const {
@@ -103,8 +93,8 @@ std::string domain_table_json(const Netlist& netlist,
 std::string domain_summary_json(const DomainTable& table);
 
 /// A4/A5/A6 entry points, mirroring rule_xprop & co. The overloads taking
-/// a DomainTable let run_analysis() and AnalysisSession share one
-/// inference pass; the two-argument forms infer a fresh table.
+/// a DomainTable let run_analysis() share one inference pass across the
+/// three rules; the two-argument forms infer a fresh table.
 void rule_cdc_unsync(check::RuleContext& ctx, const AnalysisOptions& options);
 void rule_cdc_unsync(check::RuleContext& ctx, const AnalysisOptions& options,
                      const DomainTable& table);
@@ -118,64 +108,5 @@ void rule_rdc_crossing(check::RuleContext& ctx,
 void rule_rdc_crossing(check::RuleContext& ctx,
                        const AnalysisOptions& options,
                        const DomainTable& table);
-
-/// Incremental analysis driver. One session follows one netlist through a
-/// sequence of transform stages:
-///
-///   netlist.enable_journal();
-///   AnalysisSession session(options);
-///   report0 = session.analyze(netlist);              // full, primes cache
-///   ... stage mutates netlist ...
-///   report1 = session.reanalyze(netlist, netlist.take_touched());
-///
-/// reanalyze() is byte-identical to run_analysis(netlist, options): when
-/// the journal is empty and the clock/reset plan is unchanged the cached
-/// report is returned outright; otherwise domain labels are re-derived
-/// only for registers whose support intersects the dirty fanout cone of
-/// the touched ids, and the A1-A6 wave reruns on top of the patched
-/// table. A dirty cone covering most of the design falls back to a full
-/// analyze() — incremental never costs more than full plus the cone walk.
-class AnalysisSession {
- public:
-  explicit AnalysisSession(AnalysisOptions options = {});
-
-  /// Full analysis; replaces the cache.
-  check::CheckReport analyze(const Netlist& netlist);
-
-  /// Incremental re-analysis after a mutation wave. `touched` is the
-  /// drained journal (Netlist::take_touched) covering every mutation
-  /// since the previous analyze()/reanalyze() call.
-  check::CheckReport reanalyze(const Netlist& netlist,
-                               const TouchedSet& touched);
-
-  /// Cache behavior counters for tests and the bench harness.
-  struct Stats {
-    int full_runs = 0;         // analyze() or fallback-to-full
-    int incremental_runs = 0;  // label-patching reanalyze() passes
-    int skipped_runs = 0;      // no-edit passes served from cache
-    long labels_reused = 0;
-    long labels_recomputed = 0;
-  };
-  [[nodiscard]] const Stats& stats() const { return stats_; }
-
-  /// The current (cached) domain table; valid after the first analyze().
-  [[nodiscard]] const DomainTable& domains() const { return table_; }
-
-  [[nodiscard]] const AnalysisOptions& options() const { return options_; }
-
- private:
-  [[nodiscard]] bool plan_changed(const Netlist& netlist) const;
-  check::CheckReport run_wave(const Netlist& netlist);
-
-  AnalysisOptions options_;
-  bool primed_ = false;
-  DomainTable table_;
-  check::CheckReport cached_report_;
-  ClockSpec cached_clocks_;
-  std::vector<ResetRoot> cached_resets_;
-  std::size_t cached_reset_assignments_ = 0;
-  std::string cached_name_;
-  Stats stats_;
-};
 
 }  // namespace tp::analysis

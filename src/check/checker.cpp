@@ -318,9 +318,8 @@ CheckReport finalize_report(const Netlist& netlist,
   // Canonical report order: (rule, first offending cell, first offending
   // net, message). Rules already emit in this order internally, but reports
   // merged from parallel checkpoint waves (flow::run_flow with an executor)
-  // or spliced from an incremental AnalysisSession must land byte-identical
-  // to a serial full run, so the ordering is enforced here rather than
-  // trusted. stable_sort keeps duplicate-key emission order.
+  // must land byte-identical to a serial run, so the ordering is enforced
+  // here rather than trusted. stable_sort keeps duplicate-key emission order.
   const auto first_or_empty = [](const std::vector<std::string>& names)
       -> const std::string& {
     static const std::string kEmpty;

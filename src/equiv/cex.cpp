@@ -59,12 +59,14 @@ OutputStream simulate_outputs(const Netlist& netlist,
                               const Stimulus& stimulus) {
   SimOptions options;
   options.snapshot_event = netlist.clocks().phases.size() == 3 ? 1 : 0;
-  Simulator sim(netlist, options);
+  WideSimulator sim(netlist, 1, options);  // constructor runs reset()
+  const WideStimulus packed = pack_stimulus({&stimulus, 1});
   OutputStream stream;
   stream.reserve(stimulus.size());
-  for (const auto& pi_values : stimulus) {
-    sim.step(pi_values);
-    stream.push_back(sim.outputs());
+  for (const auto& pi_words : packed.words) {
+    sim.step(pi_words);
+    std::vector<std::uint8_t>& row = stream.emplace_back();
+    for (const std::uint64_t word : sim.outputs()) row.push_back(word & 1u);
   }
   return stream;
 }

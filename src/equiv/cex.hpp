@@ -1,8 +1,8 @@
 // Counterexample handling for the sequential equivalence checker.
 //
 // A falsification found on the AIG model is only trusted after it has been
-// replayed through the reference event-driven simulator (tp::Simulator) on
-// both netlists — the replay guards against any divergence between the
+// replayed through the event-driven simulator (tp::WideSimulator, one lane)
+// on both netlists — the replay guards against any divergence between the
 // symbolic one-cycle model and the simulator's event semantics. Confirmed
 // counterexamples are then shrunk with a ddmin pass: the stimulus is
 // truncated to the first mismatching cycle and input bits are cleared in
@@ -30,7 +30,7 @@ struct Counterexample {
   std::string output_name;
   bool expected = false;  // golden value at (cycle, output)
   bool got = false;       // revised value
-  /// True once the mismatch has been reproduced by tp::Simulator.
+  /// True once the mismatch has been reproduced by the simulator.
   bool confirmed = false;
 
   /// Number of 1-bits in the stimulus (the quantity ddmin minimizes).
@@ -49,7 +49,7 @@ std::vector<std::size_t> map_data_inputs(const Netlist& from,
 /// snapshot event, returning one output vector per cycle.
 OutputStream simulate_outputs(const Netlist& netlist, const Stimulus& stimulus);
 
-/// Replays cex.inputs through both netlists with tp::Simulator and fills the
+/// Replays cex.inputs through both netlists in simulation and fills the
 /// mismatch fields (cycle, output, expected/got, confirmed). Returns true
 /// when the simulators disagree on some cycle.
 bool replay(const Netlist& golden, const Netlist& revised, Counterexample& cex);

@@ -7,7 +7,7 @@
 #include <unordered_set>
 
 #include "src/equiv/sat.hpp"
-#include "src/sim/simulator.hpp"
+#include "src/sim/wide_sim.hpp"
 #include "src/util/log.hpp"
 #include "src/util/rng.hpp"
 
@@ -105,7 +105,7 @@ class CycleBuilder {
                  cell.kind == CellKind::kIcgM1 ||
                  cell.kind == CellKind::kClkDiv2) {
         // Clock dividers share the ICG state slots: one bit of toggle state
-        // per cell, read back from Simulator::icg_state at reset.
+        // per cell, read back from WideSimulator::icg_state_word at reset.
         icg_index_[id.value()] = static_cast<std::uint32_t>(m_.icgs.size());
         m_.icgs.push_back(id);
       }
@@ -1218,14 +1218,14 @@ Machine build_machine(Aig& aig, const Netlist& netlist,
 
 std::vector<std::uint8_t> reset_state(const Netlist& netlist,
                                       const Machine& machine) {
-  const Simulator sim(netlist);  // constructor runs reset()
+  const WideSimulator sim(netlist, 1);  // constructor runs reset()
   std::vector<std::uint8_t> bits;
   bits.reserve(machine.state_in.size());
   for (const CellId reg : machine.regs) {
-    bits.push_back(sim.value(netlist.cell(reg).out) ? 1 : 0);
+    bits.push_back(sim.value(netlist.cell(reg).out, 0) ? 1 : 0);
   }
   for (const CellId icg : machine.icgs) {
-    bits.push_back(sim.icg_state(icg) ? 1 : 0);
+    bits.push_back(static_cast<std::uint8_t>(sim.icg_state_word(icg) & 1u));
   }
   return bits;
 }

@@ -28,7 +28,7 @@
 //     repeats to a fixpoint.
 //  4. Output equality is checked under the proven invariants; if that is
 //     inconclusive, bounded model checking from reset searches for a real
-//     divergence. Any falsification is replayed through tp::Simulator and
+//     divergence. Any falsification is replayed in simulation and
 //     ddmin-minimized (cex.hpp) before being reported.
 #pragma once
 
@@ -126,7 +126,7 @@ Machine build_machine(Aig& aig, const Netlist& netlist,
                       std::span<const Lit> pi_prev,
                       std::span<const Lit> pi_now);
 
-/// Concrete machine state right after Simulator::reset(), aligned with
+/// Concrete machine state right after WideSimulator::reset(), aligned with
 /// Machine::state_in.
 std::vector<std::uint8_t> reset_state(const Netlist& netlist,
                                       const Machine& machine);

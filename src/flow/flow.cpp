@@ -6,7 +6,6 @@
 #include <optional>
 
 #include "src/analysis/analysis.hpp"
-#include "src/analysis/domains.hpp"
 #include "src/flow/backend.hpp"
 #include "src/netlist/traverse.hpp"
 #include "src/place/placer.hpp"
@@ -16,43 +15,23 @@
 namespace tp::flow {
 namespace {
 
-/// Simulates the netlist under every stimulus lane, returning the
-/// lane-major concatenation of the per-lane output streams and leaving
-/// the summed-over-lanes activity in `activity_out`. With `wide` and at
-/// least two lanes, all lanes run bit-parallel in one WideSimulator pass;
-/// otherwise the scalar engine runs lane-by-lane. Both paths are
-/// bit-identical (the wide engine's contract). A VCD — a per-lane concept
-/// — forces the scalar engine and records the first lane only.
+/// Simulates the netlist under every stimulus lane in one bit-parallel
+/// WideSimulator pass, returning the lane-major concatenation of the
+/// per-lane output streams and leaving the summed-over-lanes activity in
+/// `activity_out`. A VCD, when requested, records the first lane.
 OutputStream simulate(const Netlist& netlist, std::span<const Stimulus> lanes,
-                      std::size_t warmup, bool wide, std::ostream* vcd,
+                      std::size_t warmup, std::ostream* vcd,
                       ActivityStats* activity_out) {
   SimOptions options;
   // Single-phase plans update registers at the t=0 event; multi-phase plans
   // (3-phase p1, two-phase slave) open the cycle's first capturing latch at
   // the second event, so the output snapshot waits for it.
   options.snapshot_event = netlist.clocks().phases.size() >= 2 ? 1 : 0;
-  if (wide && lanes.size() >= 2 && vcd == nullptr) {
-    WideSimulator sim(netlist, lanes.size(), options);
-    OutputStream stream = run_wide_stream(sim, pack_stimulus(lanes), warmup);
-    if (activity_out) *activity_out = sim.stats();
-    return stream;
-  }
-  Simulator sim(netlist, options);
-  OutputStream stream;
-  ActivityStats total;
-  total.net_toggles.assign(netlist.num_nets(), 0);
-  for (std::size_t l = 0; l < lanes.size(); ++l) {
-    if (l == 0 && vcd != nullptr) sim.start_vcd(*vcd);
-    OutputStream s = run_stream(sim, lanes[l], warmup);
-    if (l == 0 && vcd != nullptr) sim.stop_vcd();
-    stream.insert(stream.end(), std::make_move_iterator(s.begin()),
-                  std::make_move_iterator(s.end()));
-    for (std::size_t n = 0; n < netlist.num_nets(); ++n) {
-      total.net_toggles[n] += sim.stats().net_toggles[n];
-    }
-    total.cycles += sim.stats().cycles;
-  }
-  if (activity_out) *activity_out = std::move(total);
+  WideSimulator sim(netlist, lanes.size(), options);
+  if (vcd != nullptr) sim.start_vcd(*vcd);
+  OutputStream stream = run_wide_stream(sim, pack_stimulus(lanes), warmup);
+  sim.stop_vcd();
+  if (activity_out) *activity_out = sim.stats();
   return stream;
 }
 
@@ -101,11 +80,6 @@ FlowResult run_flow(const circuits::Benchmark& benchmark, DesignStyle style,
   result.style = style;
   Stopwatch step;
 
-  // SEC checkpoint: prove the working netlist still matches the input FF
-  // design. The stage hook runs first so tests can inject a fault "inside"
-  // a stage and assert the checkpoint blames it. Callers must reset `step`
-  // afterwards — checkpoint time is accounted to times.equiv_s, not to the
-  // surrounding stage.
   Netlist netlist = benchmark.netlist;
   // The lint cap must track the flow's own DDCG configuration, otherwise a
   // deliberately wider flow would flag its own output.
@@ -116,38 +90,52 @@ FlowResult run_flow(const circuits::Benchmark& benchmark, DesignStyle style,
   analysis_options.check = lint_options;
   analysis_options.timing = options.timing;
   analysis_options.borrow_budget_ps = options.borrow_budget_ps;
-  // Runs the opt-in checkpoint lints on one stage snapshot: structural
-  // rules, dataflow analyses, or both merged into one report.
-  const auto lint_stage = [check_rules = options.check_rules,
-                           check_analysis = options.check_analysis,
-                           lint_options,
-                           analysis_options](const Netlist& snapshot) {
-    check::CheckReport report;
-    if (check_rules) report = check::run_checks(snapshot, lint_options);
-    if (check_analysis) {
-      report.merge(analysis::run_analysis(snapshot, analysis_options));
-    }
-    return report;
+  const bool lint_checks = options.check_rules || options.check_analysis;
+
+  // Checkpoint jobs: pure functions of one stage's output netlist. SEC
+  // proves it still matches the input FF design; lint runs the structural
+  // rules, the dataflow analyses, or both merged into one report.
+  const auto sec_job = [golden = &benchmark.netlist, sec = options.sec](
+                           std::string stage, const Netlist& revised) {
+    Stopwatch watch;
+    StageCheck check;
+    check.stage = std::move(stage);
+    check.result = equiv::check_sequential_equivalence(*golden, revised, sec);
+    check.seconds = watch.seconds();
+    return check;
   };
-  // Inline analysis checkpoints run through an incremental session: the
-  // mutation journal scopes each re-analysis to the stage's dirty cone
-  // (byte-identical to the full pass — see docs/analysis.md). The executor
-  // path snapshots instead, so it keeps the full per-snapshot analysis.
-  std::optional<analysis::AnalysisSession> analysis_session;
-  if (options.check_analysis && options.incremental_analysis &&
-      options.executor == nullptr) {
-    netlist.enable_journal();
-    analysis_session.emplace(analysis_options);
-  }
+  const auto lint_job = [check_rules = options.check_rules,
+                         check_analysis = options.check_analysis, lint_options,
+                         analysis_options](std::string stage,
+                                           const Netlist& snapshot) {
+    Stopwatch watch;
+    StageLint lint;
+    lint.stage = std::move(stage);
+    if (check_rules) lint.report = check::run_checks(snapshot, lint_options);
+    if (check_analysis) {
+      lint.report.merge(analysis::run_analysis(snapshot, analysis_options));
+    }
+    lint.seconds = watch.seconds();
+    return lint;
+  };
+  const auto record_check = [&](StageCheck check) {
+    result.times.equiv_s += check.seconds;
+    result.equiv.stages.push_back(std::move(check));
+  };
+  const auto record_lint = [&](StageLint lint) {
+    result.times.lint_s += lint.seconds;
+    result.lint.stages.push_back(std::move(lint));
+  };
   // With an executor, each checkpoint snapshots the stage output and runs
-  // the (pure, read-only) checks as pool tasks that overlap with the rest
-  // of the flow; the futures are joined in stage order before run_flow()
-  // returns, so the result is identical to the inline path.
+  // its jobs as pool tasks that overlap with the rest of the flow; the
+  // futures are joined in stage order before run_flow() returns. Without
+  // one, the jobs run at once on the live netlist.
   std::vector<std::future<StageCheck>> equiv_futures;
   std::vector<std::future<StageLint>> lint_futures;
   // If the flow unwinds with checkpoints still in flight, settle them
-  // before the stack frames their lambdas reference go away. The normal
-  // path consumes (moves out) every future, leaving nothing to join here.
+  // first: they read the caller's benchmark, which may go away once
+  // run_flow() returns. The normal path consumes (moves out) every future,
+  // leaving nothing to join here.
   struct PendingChecks {
     std::vector<std::future<StageCheck>>* equiv;
     std::vector<std::future<StageLint>>* lint;
@@ -169,66 +157,32 @@ FlowResult run_flow(const circuits::Benchmark& benchmark, DesignStyle style,
       }
     }
   } pending_checks{&equiv_futures, &lint_futures, options.executor};
+  // The stage hook runs first so tests can inject a fault "inside" a stage
+  // and assert the checkpoint blames it. Callers must reset `step`
+  // afterwards — checkpoint time is accounted to times.equiv_s/lint_s, not
+  // to the surrounding stage.
   const auto checkpoint = [&](std::string_view stage) {
     if (options.stage_hook) options.stage_hook(netlist, stage);
-    if (!options.check_equivalence && !options.check_rules &&
-        !options.check_analysis) {
-      return;
-    }
-    if (options.executor != nullptr) {
-      auto snapshot = std::make_shared<const Netlist>(netlist);
+    if (options.executor == nullptr) {
       if (options.check_equivalence) {
-        equiv_futures.push_back(options.executor->submit(
-            [snapshot, stage = std::string(stage),
-             golden = &benchmark.netlist, sec = options.sec]() {
-              Stopwatch watch;
-              StageCheck check;
-              check.stage = stage;
-              check.result =
-                  equiv::check_sequential_equivalence(*golden, *snapshot, sec);
-              check.seconds = watch.seconds();
-              return check;
-            }));
+        record_check(sec_job(std::string(stage), netlist));
       }
-      if (options.check_rules || options.check_analysis) {
-        lint_futures.push_back(options.executor->submit(
-            [snapshot, stage = std::string(stage), lint_stage]() {
-              Stopwatch watch;
-              StageLint lint;
-              lint.stage = stage;
-              lint.report = lint_stage(*snapshot);
-              lint.seconds = watch.seconds();
-              return lint;
-            }));
-      }
+      if (lint_checks) record_lint(lint_job(std::string(stage), netlist));
       return;
     }
+    if (!options.check_equivalence && !lint_checks) return;
+    auto snapshot = std::make_shared<const Netlist>(netlist);
     if (options.check_equivalence) {
-      Stopwatch watch;
-      StageCheck check;
-      check.stage = std::string(stage);
-      check.result = equiv::check_sequential_equivalence(
-          benchmark.netlist, netlist, options.sec);
-      check.seconds = watch.seconds();
-      result.times.equiv_s += check.seconds;
-      result.equiv.stages.push_back(std::move(check));
+      equiv_futures.push_back(options.executor->submit(
+          [sec_job, snapshot, stage = std::string(stage)] {
+            return sec_job(stage, *snapshot);
+          }));
     }
-    if (options.check_rules || options.check_analysis) {
-      Stopwatch watch;
-      StageLint lint;
-      lint.stage = std::string(stage);
-      if (analysis_session.has_value()) {
-        if (options.check_rules) {
-          lint.report = check::run_checks(netlist, lint_options);
-        }
-        lint.report.merge(
-            analysis_session->reanalyze(netlist, netlist.take_touched()));
-      } else {
-        lint.report = lint_stage(netlist);
-      }
-      lint.seconds = watch.seconds();
-      result.times.lint_s += lint.seconds;
-      result.lint.stages.push_back(std::move(lint));
+    if (lint_checks) {
+      lint_futures.push_back(options.executor->submit(
+          [lint_job, snapshot, stage = std::string(stage)] {
+            return lint_job(stage, *snapshot);
+          }));
     }
   };
 
@@ -244,8 +198,7 @@ FlowResult run_flow(const circuits::Benchmark& benchmark, DesignStyle style,
   // including style-specific retiming and clock-gating stages — calling
   // `checkpoint` after each stage and accounting times itself. The activity
   // hook simulates the *current* working netlist (DDCG's data dependence);
-  // always eligible for the wide engine — the VCD option applies to the
-  // final validation simulation only.
+  // the VCD option applies to the final validation simulation only.
   FlowContext ctx{
       .netlist = netlist,
       .options = options,
@@ -255,8 +208,8 @@ FlowResult run_flow(const circuits::Benchmark& benchmark, DesignStyle style,
       .activity =
           [&]() {
             ActivityStats activity;
-            simulate(netlist, lanes, options.warmup_cycles, options.wide_sim,
-                     nullptr, &activity);
+            simulate(netlist, lanes, options.warmup_cycles, nullptr,
+                     &activity);
             return activity;
           },
   };
@@ -309,7 +262,7 @@ FlowResult run_flow(const circuits::Benchmark& benchmark, DesignStyle style,
   // 5. Gate-level simulation: validation stream + power activity.
   ActivityStats activity;
   result.outputs = simulate(netlist, lanes, options.warmup_cycles,
-                            options.wide_sim, options.vcd, &activity);
+                            options.vcd, &activity);
   result.times.sim_s = step.seconds();
 
   // 6. Metrics.
@@ -320,24 +273,25 @@ FlowResult run_flow(const circuits::Benchmark& benchmark, DesignStyle style,
       compute_power(netlist, library, activity, &placement, &clock_tree);
   result.netlist = std::move(netlist);
 
-  // Join the fanned-out checkpoints (no-ops on the inline path). wait()
+  // Join the fanned-out checkpoints (none without an executor). wait()
   // helps — a worker running this flow as a matrix task executes pending
   // checks itself instead of blocking the pool.
   for (std::future<StageCheck>& future : equiv_futures) {
-    StageCheck check = options.executor->wait(std::move(future));
-    result.times.equiv_s += check.seconds;
-    result.equiv.stages.push_back(std::move(check));
+    record_check(options.executor->wait(std::move(future)));
   }
   for (std::future<StageLint>& future : lint_futures) {
-    StageLint lint = options.executor->wait(std::move(future));
-    result.times.lint_s += lint.seconds;
-    result.lint.stages.push_back(std::move(lint));
+    record_lint(options.executor->wait(std::move(future)));
   }
   return result;
 }
 
 std::string StreamDiff::to_string() const {
   if (equal()) return "output streams identical";
+  if (length_mismatch()) {
+    return "output streams differ in length: expected " +
+           std::to_string(expected_cycles) + " cycles, got " +
+           std::to_string(got_cycles);
+  }
   return "outputs diverge at cycle " + std::to_string(cycle) + " on '" +
          output_name + "': expected " + (expected ? "1" : "0") + ", got " +
          (got ? "1" : "0");
@@ -345,8 +299,10 @@ std::string StreamDiff::to_string() const {
 
 StreamDiff equivalent(const FlowResult& a, const FlowResult& b) {
   StreamDiff diff;
+  diff.expected_cycles = a.outputs.size();
+  diff.got_cycles = b.outputs.size();
   diff.cycle = first_mismatch(a.outputs, b.outputs);
-  if (diff.cycle < 0) return diff;
+  if (diff.cycle < 0 || diff.length_mismatch()) return diff;
   const auto& row_a = a.outputs[diff.cycle];
   const auto& row_b = b.outputs[diff.cycle];
   const std::size_t width = std::min(row_a.size(), row_b.size());

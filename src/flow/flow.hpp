@@ -83,16 +83,9 @@ struct FlowOptions {
   CtsOptions cts;
   std::size_t warmup_cycles = 16;
 
-  /// Simulate with the bit-parallel WideSimulator (src/sim/wide_sim.hpp)
-  /// whenever more than one stimulus lane is supplied. Bit-identity
-  /// contract: wide and scalar runs produce the same output streams and
-  /// the same summed ActivityStats, so this is purely a speed switch.
-  /// With a single lane the scalar engine runs either way.
-  bool wide_sim = true;
   /// When set, the final validation simulation dumps a VCD to this stream.
   /// Waveforms are a per-lane concept, so only the first stimulus lane is
-  /// recorded and that simulation uses the scalar engine (the DDCG
-  /// activity simulation stays wide). Not owned.
+  /// recorded. Not owned.
   std::ostream* vcd = nullptr;
 
   /// Run a sequential equivalence check (src/equiv/) against the input FF
@@ -114,15 +107,6 @@ struct FlowOptions {
   /// re-runs an abstract simulation and two STA passes) but still far
   /// cheaper than check_equivalence.
   bool check_analysis = false;
-  /// Drive the analysis checkpoints through an incremental
-  /// analysis::AnalysisSession instead of a fresh run_analysis() per
-  /// stage: the netlist mutation journal feeds dirty-cone invalidation,
-  /// so unchanged stages are served from cache and domain labels are
-  /// re-derived only where the stage edited. Reports are byte-identical
-  /// to full re-analysis (gated by tests). Applies to the inline path
-  /// only — with `executor` set the checkpoints are pure snapshot tasks
-  /// and always run the full analysis.
-  bool incremental_analysis = true;
   /// A3 cumulative borrow budget in ps; negative means the default of one
   /// full phase segment (period / num_phases).
   double borrow_budget_ps = -1.0;
@@ -134,10 +118,10 @@ struct FlowOptions {
   /// When set, the opt-in per-stage SEC and lint checkpoints run as tasks
   /// on this executor against a snapshot of the stage output, overlapping
   /// with the remaining transform stages instead of serializing behind
-  /// them; run_flow() joins them before returning, so FlowResult is
-  /// unchanged (and bit-identical to the executor-less run — the checks
-  /// are pure functions of the snapshot). run_matrix() sets this
-  /// automatically. Not owned.
+  /// them; without it the same checks run at once on the live netlist.
+  /// run_flow() joins them before returning, so FlowResult is bit-identical
+  /// either way (the checks are pure functions of the stage output).
+  /// run_matrix() sets this automatically. Not owned.
   util::Executor* executor = nullptr;
 
   /// The configuration every paper table uses; identical to a
@@ -276,27 +260,31 @@ FlowResult run_flow(const circuits::Benchmark& benchmark, DesignStyle style,
                     const Stimulus& stimulus, const FlowOptions& options = {});
 
 /// Multi-lane variant: runs the flow once and simulates every stimulus
-/// lane — bit-parallel in one WideSimulator pass when
-/// FlowOptions::wide_sim allows, scalar lane-by-lane otherwise, with
-/// bit-identical results either way. `lanes` must hold 1..kMaxSimLanes
-/// equally-shaped stimuli; FlowResult::outputs is the lane-major
-/// concatenation of the per-lane streams and the power activity is the
-/// sum over lanes.
+/// lane bit-parallel in one WideSimulator pass. `lanes` must hold
+/// 1..kMaxSimLanes equally-shaped stimuli; FlowResult::outputs is the
+/// lane-major concatenation of the per-lane streams and the power activity
+/// is the sum over lanes.
 FlowResult run_flow(const circuits::Benchmark& benchmark, DesignStyle style,
                     std::span<const Stimulus> lanes,
                     const FlowOptions& options = {});
 
 /// Diagnostic result of a stream comparison: where two flows first diverged,
-/// or `cycle == -1` when the streams match. Converts to bool ("equal") so
-/// `assert(flow::equivalent(a, b))` keeps working.
+/// or `cycle == -1` when the streams match. Streams of different lengths
+/// diverge at the end of the shorter one, with no output to name. Converts
+/// to bool ("equal") so `assert(flow::equivalent(a, b))` keeps working.
 struct StreamDiff {
   std::ptrdiff_t cycle = -1;
   std::size_t output = 0;
   std::string output_name;
   bool expected = false;  // value in `a`
   bool got = false;       // value in `b`
+  std::size_t expected_cycles = 0;  // rows in `a`
+  std::size_t got_cycles = 0;       // rows in `b`
 
   [[nodiscard]] bool equal() const { return cycle < 0; }
+  [[nodiscard]] bool length_mismatch() const {
+    return expected_cycles != got_cycles;
+  }
   explicit operator bool() const { return equal(); }
   [[nodiscard]] std::string to_string() const;
 };

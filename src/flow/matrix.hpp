@@ -70,11 +70,10 @@ struct RunPlan {
   /// Stimulus lanes per task, in [1, kMaxSimLanes]. With lanes >= 2 each
   /// task generates `lanes` independent stimuli (lane_seed) of
   /// ceil(cycles / lanes) cycles each and simulates them in one
-  /// bit-parallel WideSimulator pass (FlowOptions::wide_sim permitting) —
-  /// the cheap way to reach a cycle budget. Results stay deterministic
-  /// across thread counts, but a 4-lane plan samples different stimuli
-  /// than a 1-lane plan of the same seed, so lane count is part of the
-  /// reproducibility key.
+  /// bit-parallel WideSimulator pass — the cheap way to reach a cycle
+  /// budget. Results stay deterministic across thread counts, but a 4-lane
+  /// plan samples different stimuli than a 1-lane plan of the same seed,
+  /// so lane count is part of the reproducibility key.
   std::size_t lanes = 1;
 
   /// Optional cooperative-cancellation flag (not owned). When it reads

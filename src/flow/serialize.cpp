@@ -56,7 +56,7 @@ std::string options_fingerprint(const FlowOptions& o) {
   // version tag when the flow grows result-affecting options that default
   // to old behavior, so old fingerprints stay honest.
   return cat(
-      "flowopts-v3",
+      "flowopts-v4",
       " cg=", static_cast<int>(o.synthesis_cg.style),
       ",", o.synthesis_cg.min_icg_group,
       " buf=", o.buffering.max_fanout,
@@ -76,7 +76,6 @@ std::string options_fingerprint(const FlowOptions& o) {
       ",", o.place.leaf_size, ",", o.place.seed,
       " cts=", o.cts.max_fanout,
       " warmup=", o.warmup_cycles,
-      " wide=", o.wide_sim,
       " sec=", o.check_equivalence,
       " lint=", o.check_rules, ",", o.lint.ddcg_max_fanout,
       " analysis=", o.check_analysis, ",", o.borrow_budget_ps);

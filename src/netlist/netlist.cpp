@@ -276,8 +276,6 @@ NetId Netlist::reset_of(CellId reg) const {
   return it == reset_of_.end() ? NetId{} : it->second;
 }
 
-TouchedSet Netlist::take_touched() { return take_touched(journal_cursor_); }
-
 TouchedSet Netlist::take_touched(JournalCursor& cursor) const {
   TouchedSet touched;
   touched.cells.assign(

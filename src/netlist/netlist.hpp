@@ -104,8 +104,7 @@ struct ResetRoot {
 };
 
 /// Cell and net ids touched by netlist mutations since the journal was
-/// last drained; feeds the incremental AnalysisSession's and
-/// IncrementalTimer's dirty cones.
+/// last drained; feeds the IncrementalTimer's dirty cones.
 struct TouchedSet {
   std::vector<CellId> cells;
   std::vector<NetId> nets;
@@ -114,8 +113,8 @@ struct TouchedSet {
 };
 
 /// A read position into the append-only mutation journal. Every consumer
-/// (AnalysisSession, IncrementalTimer, ...) owns one cursor and drains
-/// independently: one consumer reading never starves another.
+/// (IncrementalTimer, ...) owns one cursor and drains independently: one
+/// consumer reading never starves another.
 struct JournalCursor {
   std::size_t cells = 0;
   std::size_t nets = 0;
@@ -248,10 +247,6 @@ class Netlist {
   void enable_journal() { journal_enabled_ = true; }
   [[nodiscard]] bool journal_enabled() const { return journal_enabled_; }
 
-  /// Drains the journal through the built-in cursor: returns everything
-  /// touched since the last take_touched() call (sorted, deduplicated).
-  TouchedSet take_touched();
-
   /// Multi-consumer drain: returns everything appended since `cursor` was
   /// last advanced (sorted, deduplicated) and moves the cursor to the end
   /// of the log. Cursors from different consumers are independent.
@@ -281,10 +276,9 @@ class Netlist {
   std::unordered_map<std::uint32_t, NetId> reset_of_;
   bool journal_enabled_ = false;
   // Append-only while the journal is enabled; consumers track positions
-  // with JournalCursors (take_touched() uses the built-in one).
+  // with JournalCursors.
   std::vector<CellId> touched_cells_;
   std::vector<NetId> touched_nets_;
-  JournalCursor journal_cursor_;
 };
 
 /// Inserts a transparent-high latch on phase `phase` at net `q`: all

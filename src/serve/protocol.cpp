@@ -1,5 +1,7 @@
 #include "src/serve/protocol.hpp"
 
+#include <utility>
+
 #include "src/flow/serialize.hpp"
 #include "src/util/json.hpp"
 #include "src/util/strcat.hpp"
@@ -84,6 +86,17 @@ bool parse_request(std::string_view line, Request* out, std::string* error) {
   if (out->type == JobType::kStatus || out->type == JobType::kShutdown) {
     return true;
   }
+  // Retired field names: ignoring them would silently run the default
+  // backends instead of the ones the client asked for.
+  for (const auto& [retired, field] :
+       {std::pair{"style", "backend"}, std::pair{"styles", "backends"}}) {
+    if (doc.find(retired) != nullptr) {
+      *error = cat("field '", retired, "' is no longer accepted; use '",
+                   field, "' (valid backends: ", flow::backend_token_list(),
+                   ")");
+      return false;
+    }
+  }
   if (!parse_spec(doc, &out->spec, error)) return false;
 
   if (out->type == JobType::kMatrixSweep) {
@@ -97,10 +110,7 @@ bool parse_request(std::string_view line, Request* out, std::string* error) {
         out->benchmarks.push_back(name.as_string());
       }
     }
-    // "backends" is the canonical grid axis; "styles" stays as a legacy
-    // alias (ignored when "backends" is present).
     const Json* tokens = doc.find("backends");
-    if (tokens == nullptr) tokens = doc.find("styles");
     if (tokens != nullptr && tokens->is_array()) {
       for (const Json& token : tokens->items()) {
         flow::DesignStyle style;
@@ -121,16 +131,13 @@ bool parse_request(std::string_view line, Request* out, std::string* error) {
     return true;
   }
 
-  // convert / power_eval / lint: one benchmark, one backend. "backend" is
-  // the canonical field; "style" stays as a legacy alias and loses when
-  // both are present.
+  // convert / power_eval / lint: one benchmark, one backend.
   out->benchmark = doc.get_string("benchmark", "");
   if (out->benchmark.empty()) {
     *error = "missing benchmark";
     return false;
   }
-  const std::string token =
-      doc.get_string("backend", doc.get_string("style", "3p"));
+  const std::string token = doc.get_string("backend", "3p");
   if (!flow::style_from_name(token, &out->style)) {
     *error = cat("unknown backend '", token, "' (valid backends: ",
                  flow::backend_token_list(), ")");

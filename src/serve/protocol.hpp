@@ -16,10 +16,10 @@
 //
 // "backend" names a registered conversion backend by its token (the
 // backend registry of src/flow/backend.hpp is the source of truth; status
-// lists the valid tokens). "style"/"styles" remain accepted as legacy
-// aliases; "backend"/"backends" win when both are present. An unknown
-// token is rejected with an ok:false response whose error message lists
-// every valid token.
+// lists the valid tokens). An unknown token is rejected with an ok:false
+// response whose error message lists every valid token; so is a request
+// that still carries the retired "style"/"styles" fields, naming
+// "backend"/"backends" instead.
 //
 // Responses echo the id:
 //   {"id":"j1","ok":true,"cached":false,"payload":{...}}        convert

@@ -1,7 +1,6 @@
 #include "src/sim/simulator.hpp"
 
 #include <algorithm>
-#include <ostream>
 
 #include "src/sim/schedule.hpp"
 
@@ -101,12 +100,8 @@ void Simulator::step(std::span<const std::uint8_t> pi_values) {
   const int snapshot_event = std::min(
       options_.snapshot_event, static_cast<int>(event_times_.size()) - 1);
   int event_index = 0;
-  const std::int64_t cycle_base =
-      static_cast<std::int64_t>(stats_.cycles - 1) *
-      netlist_.clocks().period_ps;
   for (const std::int64_t t : event_times_) {
     evals_this_event_ = 0;
-    vcd_timestamp(cycle_base + t);
 
     // 1. Root clock transitions, then zero-delay clock-network propagation.
     event_clock_changes_.clear();
@@ -265,62 +260,9 @@ void Simulator::update_registers(
   }
 }
 
-namespace {
-
-/// VCD identifier for a net id (printable characters '!'..'~').
-std::string vcd_id(std::uint32_t n) {
-  std::string id;
-  do {
-    id += static_cast<char>('!' + n % 94);
-    n /= 94;
-  } while (n);
-  return id;
-}
-
-}  // namespace
-
-void Simulator::start_vcd(std::ostream& out) {
-  vcd_ = &out;
-  vcd_header_done_ = false;
-  vcd_time_ = 0;
-  out << "$timescale 1ps $end\n$scope module "
-      << (netlist_.name().empty() ? "top" : netlist_.name()) << " $end\n";
-  for (std::uint32_t n = 0; n < netlist_.num_nets(); ++n) {
-    const Net& net = netlist_.net(NetId{n});
-    if (!net.alive) continue;
-    // VCD identifiers must not contain whitespace; net names are sanitized
-    // by replacing anything suspicious.
-    std::string name = net.name;
-    for (char& c : name) {
-      if (c == ' ' || c == '$') c = '_';
-    }
-    out << "$var wire 1 " << vcd_id(n) << ' ' << name << " $end\n";
-  }
-  out << "$upscope $end\n$enddefinitions $end\n$dumpvars\n";
-  for (std::uint32_t n = 0; n < netlist_.num_nets(); ++n) {
-    if (netlist_.net(NetId{n}).alive) {
-      out << (values_[n] ? '1' : '0') << vcd_id(n) << "\n";
-    }
-  }
-  out << "$end\n";
-  vcd_header_done_ = true;
-}
-
-void Simulator::stop_vcd() { vcd_ = nullptr; }
-
-void Simulator::vcd_timestamp(std::int64_t time_ps) {
-  if (vcd_ && vcd_header_done_) {
-    vcd_time_ = time_ps;
-    *vcd_ << '#' << time_ps << "\n";
-  }
-}
-
 void Simulator::set_net(NetId net, bool v) {
   values_[net.value()] = v;
   ++stats_.net_toggles[net.value()];
-  if (vcd_ && vcd_header_done_) {
-    *vcd_ << (v ? '1' : '0') << vcd_id(net.value()) << "\n";
-  }
 }
 
 void Simulator::enqueue_fanouts(NetId net) {

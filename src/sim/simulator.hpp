@@ -1,10 +1,12 @@
 // Event-driven gate-level simulator with multi-phase clocking.
 //
-// The simulator plays the role the paper assigns to gate-level simulation:
-// (1) validating that the FF-based, master-slave, and 3-phase variants of a
-// design produce identical output streams, and (2) extracting per-net
-// switching activity that drives data-driven clock gating and the power
-// model.
+// Gate-level simulation plays two roles in the paper: (1) validating that
+// the FF-based, master-slave, and 3-phase variants of a design produce
+// identical output streams, and (2) extracting per-net switching activity
+// that drives data-driven clock gating and the power model. The flow, SEC
+// and counterexample replay run the bit-parallel WideSimulator
+// (src/sim/wide_sim.hpp); this scalar engine is the reference it is
+// tested against, one lane at a time.
 //
 // Model:
 //  - The clock network (phase roots, clock buffers, ICGs) propagates with
@@ -29,7 +31,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -90,21 +91,8 @@ class Simulator {
     return values_[net.value()] != 0;
   }
 
-  /// Internal enable-latch state of a kIcg/kIcgM1 cell as of the last
-  /// processed event. The equivalence checker reads this to extract the
-  /// reset state of the clock-gating network.
-  [[nodiscard]] bool icg_state(CellId cell) const {
-    return icg_state_[cell.value()] != 0;
-  }
-
   [[nodiscard]] const ActivityStats& stats() const { return stats_; }
   void clear_stats();
-
-  /// Starts dumping a VCD waveform of every live net to `out` (header
-  /// emitted immediately, one timestep per intra-cycle event). The stream
-  /// must outlive the simulator or be detached with stop_vcd().
-  void start_vcd(std::ostream& out);
-  void stop_vcd();
 
  private:
   void propagate_clock_network(std::vector<NetId>& changed_clock_nets);
@@ -113,7 +101,6 @@ class Simulator {
   void evaluate_cell(CellId cell);
   void set_net(NetId net, bool value);
   void enqueue_fanouts(NetId net);
-  void vcd_timestamp(std::int64_t time_ps);
 
   [[nodiscard]] bool icg_transparent(const Cell& cell) const;
 
@@ -151,11 +138,6 @@ class Simulator {
   ActivityStats stats_;
   std::vector<std::uint8_t> po_snapshot_;
   std::uint64_t evals_this_event_ = 0;
-
-  // VCD dumping (null when disabled).
-  std::ostream* vcd_ = nullptr;
-  std::int64_t vcd_time_ = 0;       // absolute ps of the current timestep
-  bool vcd_header_done_ = false;
 };
 
 }  // namespace tp

@@ -2,10 +2,25 @@
 
 #include <algorithm>
 #include <bit>
+#include <ostream>
+#include <string>
 
 #include "src/sim/schedule.hpp"
 
 namespace tp {
+namespace {
+
+/// VCD identifier for a net id (printable characters '!'..'~').
+std::string vcd_id(std::uint32_t n) {
+  std::string id;
+  do {
+    id += static_cast<char>('!' + n % 94);
+    n /= 94;
+  } while (n);
+  return id;
+}
+
+}  // namespace
 
 WideSimulator::WideSimulator(const Netlist& netlist, std::size_t lanes,
                              SimOptions options)
@@ -107,8 +122,13 @@ void WideSimulator::step(std::span<const std::uint64_t> pi_words) {
   const int snapshot_event = std::min(
       options_.snapshot_event, static_cast<int>(event_times_.size()) - 1);
   int event_index = 0;
+  // VCD time restarts with the statistics (clear_stats() at warmup).
+  const std::int64_t cycle_base =
+      static_cast<std::int64_t>(stats_.cycles / lanes_ - 1) *
+      netlist_.clocks().period_ps;
   for (const std::int64_t t : event_times_) {
     evals_this_event_ = 0;
+    if (vcd_ != nullptr) *vcd_ << '#' << cycle_base + t << "\n";
 
     // 1. Root clock transitions, then zero-delay clock-network propagation.
     event_clock_changes_.clear();
@@ -287,10 +307,37 @@ void WideSimulator::update_registers(
   }
 }
 
+void WideSimulator::start_vcd(std::ostream& out) {
+  vcd_ = &out;
+  out << "$timescale 1ps $end\n$scope module "
+      << (netlist_.name().empty() ? "top" : netlist_.name()) << " $end\n";
+  for (std::uint32_t n = 0; n < netlist_.num_nets(); ++n) {
+    const Net& net = netlist_.net(NetId{n});
+    if (!net.alive) continue;
+    // VCD identifiers must not contain whitespace; net names are sanitized
+    // by replacing anything suspicious.
+    std::string name = net.name;
+    for (char& c : name) {
+      if (c == ' ' || c == '$') c = '_';
+    }
+    out << "$var wire 1 " << vcd_id(n) << ' ' << name << " $end\n";
+  }
+  out << "$upscope $end\n$enddefinitions $end\n$dumpvars\n";
+  for (std::uint32_t n = 0; n < netlist_.num_nets(); ++n) {
+    if (netlist_.net(NetId{n}).alive) {
+      out << ((values_[n] & 1u) ? '1' : '0') << vcd_id(n) << "\n";
+    }
+  }
+  out << "$end\n";
+}
+
 void WideSimulator::set_net(NetId net, std::uint64_t word) {
   std::uint64_t& slot = values_[net.value()];
   stats_.net_toggles[net.value()] +=
       static_cast<std::uint64_t>(std::popcount(slot ^ word));
+  if (vcd_ != nullptr && ((slot ^ word) & 1u) != 0) {
+    *vcd_ << ((word & 1u) ? '1' : '0') << vcd_id(net.value()) << "\n";
+  }
   slot = word;
 }
 

@@ -26,12 +26,12 @@
 //
 // The output-stream snapshot protocol is the scalar one
 // (SimOptions::snapshot_event); outputs() returns one packed word per
-// primary output. VCD dumping is not supported — waveforms are a per-lane
-// concept, so callers that want a VCD use the scalar engine (the flow
-// layer falls back automatically, see FlowOptions).
+// primary output. A VCD waveform is a per-lane concept: start_vcd()
+// records lane 0.
 #pragma once
 
 #include <cstdint>
+#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -76,7 +76,9 @@ class WideSimulator {
     return (values_[net.value()] >> lane) & 1u;
   }
 
-  /// Lane-packed internal enable-latch state of a kIcg/kIcgM1 cell.
+  /// Lane-packed internal enable-latch state of a kIcg/kIcgM1 cell (the
+  /// toggle state of a kClkDiv2). The equivalence checker reads lane 0
+  /// after reset to extract the clock-gating network's reset state.
   [[nodiscard]] std::uint64_t icg_state_word(CellId cell) const {
     return icg_state_[cell.value()];
   }
@@ -88,6 +90,12 @@ class WideSimulator {
   [[nodiscard]] std::size_t lanes() const { return lanes_; }
   /// Mask with bit i set for every active lane i.
   [[nodiscard]] std::uint64_t lane_mask() const { return lane_mask_; }
+
+  /// Starts dumping a VCD waveform of every live net in lane 0 to `out`
+  /// (header emitted immediately, one timestep per intra-cycle event). The
+  /// stream must outlive the simulator or be detached with stop_vcd().
+  void start_vcd(std::ostream& out);
+  void stop_vcd() { vcd_ = nullptr; }
 
  private:
   void propagate_clock_network(std::vector<NetId>& changed_clock_nets);
@@ -141,6 +149,8 @@ class WideSimulator {
   ActivityStats stats_;
   std::vector<std::uint64_t> po_snapshot_;
   std::uint64_t evals_this_event_ = 0;
+
+  std::ostream* vcd_ = nullptr;  // lane-0 VCD sink; null when disabled
 };
 
 }  // namespace tp

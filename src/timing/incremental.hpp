@@ -200,7 +200,7 @@ class SmoEngine {
 };
 
 /// An incremental timing session following one netlist through a sequence
-/// of transform stages, in the mold of analysis::AnalysisSession:
+/// of transform stages:
 ///
 ///   netlist.enable_journal();
 ///   IncrementalTimer timer(library, options);
@@ -210,8 +210,7 @@ class SmoEngine {
 ///                                         // journal cursor, patches cone
 ///
 /// The timer owns a JournalCursor, so it coexists with other journal
-/// consumers (the flow's AnalysisSession) without starving them. With the
-/// journal disabled, sync() degrades to a full pass per call — identical
+/// consumers without starving them. With the journal disabled, sync() degrades to a full pass per call — identical
 /// results, none of the speedup.
 class IncrementalTimer {
  public:

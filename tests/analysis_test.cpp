@@ -9,7 +9,6 @@
 
 #include "src/analysis/analysis.hpp"
 #include "src/analysis/dataflow.hpp"
-#include "src/analysis/domains.hpp"
 #include "src/circuits/benchmark.hpp"
 #include "src/circuits/workload.hpp"
 #include "src/flow/flow.hpp"
@@ -420,81 +419,6 @@ TEST(FlowIntegration, AnalysisAloneStillProducesStageReports) {
       bench, flow::DesignStyle::kThreePhase, stim, options);
   EXPECT_FALSE(result.lint.stages.empty());
   EXPECT_TRUE(result.lint.all_clean());
-}
-
-// --- incremental session ---------------------------------------------------
-
-// A single-clock DFF shift chain: editing the tail dirties a small cone,
-// editing the head dirties (almost) everything downstream.
-Netlist session_chain(int length) {
-  Netlist nl("session_chain");
-  const CellId clk = nl.add_input("clk");
-  nl.set_clock_root(clk, Phase::kClk);
-  nl.clocks() = single_phase_spec(2000, nl.cell(clk).out);
-  const CellId din = nl.add_input("din");
-  NetId d = nl.cell(din).out;
-  for (int i = 0; i < length; ++i) {
-    const CellId ff = nl.add_gate(CellKind::kDff, "ff" + std::to_string(i),
-                                  {d, nl.cell(clk).out}, Phase::kClk);
-    d = nl.cell(ff).out;
-  }
-  nl.add_output("dout", d);
-  return nl;
-}
-
-TEST(AnalysisSession, SkipAndIncrementalPathsMatchFullAnalysis) {
-  Netlist nl = session_chain(12);
-  nl.enable_journal();
-  const AnalysisOptions options;
-  AnalysisSession session(options);
-  EXPECT_EQ(session.analyze(nl).to_json(), run_analysis(nl, options).to_json());
-  EXPECT_EQ(session.stats().full_runs, 1);
-
-  // No mutations since the last wave: served from cache, still identical.
-  EXPECT_EQ(session.reanalyze(nl, nl.take_touched()).to_json(),
-            run_analysis(nl, options).to_json());
-  EXPECT_EQ(session.stats().skipped_runs, 1);
-
-  // A tail-of-chain edit dirties only a couple of cells, so the session
-  // patches labels instead of re-deriving them — yet the report must stay
-  // byte-identical to a from-scratch run_analysis().
-  const CellId tail = nl.registers().back();
-  const CellId inv =
-      nl.add_gate(CellKind::kInv, "tail_inv", {nl.cell(tail).ins[0]});
-  nl.replace_input(tail, 0, nl.cell(inv).out);
-  EXPECT_EQ(session.reanalyze(nl, nl.take_touched()).to_json(),
-            run_analysis(nl, options).to_json());
-  EXPECT_EQ(session.stats().incremental_runs, 1);
-  EXPECT_GT(session.stats().labels_reused, 0);
-}
-
-TEST(AnalysisSession, WideEditsAndPlanChangesFallBackToFull) {
-  Netlist nl = session_chain(12);
-  nl.enable_journal();
-  const AnalysisOptions options;
-  AnalysisSession session(options);
-  session.analyze(nl);
-
-  // A head-of-chain edit dirties the whole downstream cone; patching
-  // would walk nearly every label, so the session re-analyzes in full.
-  const CellId head = nl.registers().front();
-  const CellId inv =
-      nl.add_gate(CellKind::kInv, "head_inv", {nl.cell(head).ins[0]});
-  nl.replace_input(head, 0, nl.cell(inv).out);
-  EXPECT_EQ(session.reanalyze(nl, nl.take_touched()).to_json(),
-            run_analysis(nl, options).to_json());
-  EXPECT_EQ(session.stats().full_runs, 2);
-  EXPECT_EQ(session.stats().incremental_runs, 0);
-
-  // Declaring a reset root changes the clock/reset plan: even with an
-  // empty journal the cached report is stale and must be rebuilt.
-  const CellId rst = nl.add_input("rst_n");
-  nl.declare_reset_root(rst, /*active_low=*/true, /*release_order=*/0);
-  nl.set_reset(nl.registers().front(), nl.cell(rst).out);
-  (void)nl.take_touched();
-  EXPECT_EQ(session.reanalyze(nl, TouchedSet{}).to_json(),
-            run_analysis(nl, options).to_json());
-  EXPECT_EQ(session.stats().full_runs, 3);
 }
 
 }  // namespace

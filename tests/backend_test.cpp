@@ -114,8 +114,8 @@ TEST(CacheKey, DivergesWhenOnlyBackendDiffers) {
 }
 
 // ---------------------------------------------------------------------------
-// Serve protocol: the "backend" field, its legacy "style" alias, and the
-// structured rejection of unknown tokens.
+// Serve protocol: the "backend" field and the structured rejection of
+// unknown tokens.
 
 TEST(Protocol, ParsesBackendField) {
   serve::Request request;
@@ -125,27 +125,6 @@ TEST(Protocol, ParsesBackendField) {
       &request, &error))
       << error;
   EXPECT_EQ(request.style, DesignStyle::kTwoPhase);
-}
-
-TEST(Protocol, StyleAliasStillParses) {
-  serve::Request request;
-  std::string error;
-  ASSERT_TRUE(serve::parse_request(
-      R"({"id":"a","type":"convert","benchmark":"s1196","style":"ms"})",
-      &request, &error))
-      << error;
-  EXPECT_EQ(request.style, DesignStyle::kMasterSlave);
-}
-
-TEST(Protocol, BackendWinsOverStyleAlias) {
-  serve::Request request;
-  std::string error;
-  ASSERT_TRUE(serve::parse_request(
-      R"({"id":"a","type":"convert","benchmark":"s1196",)"
-      R"("backend":"det","style":"ms"})",
-      &request, &error))
-      << error;
-  EXPECT_EQ(request.style, DesignStyle::kDetFf);
 }
 
 TEST(Protocol, RejectsUnknownBackendWithTokenList) {

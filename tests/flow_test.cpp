@@ -125,5 +125,26 @@ TEST(Flow, AreaTracksTableOneDirection) {
   EXPECT_LT(t.p3.area_um2, t.ms.area_um2 * 1.05);
 }
 
+TEST(StreamDiff, ReportsLengthMismatchWithoutReadingPastTheEnd) {
+  // Equal prefixes, 3 rows against 5: the shorter stream has no row at
+  // the divergence point, so the diff names the lengths, not an output.
+  FlowResult a, b;
+  a.outputs = {{0, 1}, {1, 1}, {0, 0}};
+  b.outputs = {{0, 1}, {1, 1}, {0, 0}, {1, 0}, {1, 1}};
+  for (const StreamDiff& diff : {equivalent(a, b), equivalent(b, a)}) {
+    EXPECT_FALSE(diff.equal());
+    EXPECT_TRUE(diff.length_mismatch());
+    EXPECT_EQ(diff.cycle, 3);
+    EXPECT_TRUE(diff.output_name.empty());
+  }
+  const StreamDiff diff = equivalent(a, b);
+  EXPECT_EQ(diff.expected_cycles, 3u);
+  EXPECT_EQ(diff.got_cycles, 5u);
+  EXPECT_EQ(diff.to_string(),
+            "output streams differ in length: expected 3 cycles, got 5");
+  EXPECT_TRUE(equivalent(a, a).equal());
+  EXPECT_FALSE(equivalent(a, a).length_mismatch());
+}
+
 }  // namespace
 }  // namespace tp::flow

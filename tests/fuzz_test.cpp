@@ -17,6 +17,15 @@
 #include "src/retime/retime.hpp"
 #include "tests/test_circuits.hpp"
 
+namespace tp::flow {
+// gtest prints a pointer parameter as its address, which differs on every
+// build and would leak into the test names ctest discovers; print the
+// backend's stable token instead (found by ADL from the pointee's namespace).
+void PrintTo(const ConversionBackend* backend, std::ostream* os) {
+  *os << backend->token();
+}
+}  // namespace tp::flow
+
 namespace tp {
 namespace {
 

@@ -6,7 +6,11 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
+#include <optional>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "src/circuits/workload.hpp"
@@ -241,11 +245,12 @@ TEST(RunMatrix, ParallelBitIdenticalToSerialRunFlowLoop) {
 }
 
 TEST(RunMatrix, WideLanesBitIdenticalAcrossEnginesAndSchedules) {
-  // A multi-lane plan must produce the same results from (a) the serial
-  // engine with the wide simulator, (b) the serial engine with the scalar
-  // lane-by-lane fallback, and (c) the parallel engine — the wide engine's
-  // bit-identity contract surfaced at the matrix level. Also runs under
-  // TSan in CI, covering the wide engine on the executor.
+  // A multi-lane plan must produce the same results from the serial and
+  // the parallel engine, and each lane of its output stream must match the
+  // scalar reference Simulator replaying that lane's stimulus on the flow's
+  // output netlist — the wide engine's bit-identity contract surfaced at
+  // the matrix level. Also runs under TSan in CI, covering the wide engine
+  // on the executor.
   RunPlan plan;
   plan.benchmarks = {"s1196", "s1488"};
   plan.styles = {DesignStyle::kFlipFlop, DesignStyle::kThreePhase};
@@ -257,23 +262,32 @@ TEST(RunMatrix, WideLanesBitIdenticalAcrossEnginesAndSchedules) {
 
   const std::vector<MatrixResult> wide_serial = run_matrix(plan);
 
-  RunPlan scalar_plan = plan;
-  scalar_plan.options.wide_sim = false;
-  const std::vector<MatrixResult> scalar_serial = run_matrix(scalar_plan);
-
   util::Executor executor(4);
   const std::vector<MatrixResult> wide_parallel = run_matrix(plan, executor);
 
-  ASSERT_EQ(wide_serial.size(), scalar_serial.size());
   ASSERT_EQ(wide_serial.size(), wide_parallel.size());
   for (std::size_t i = 0; i < wide_serial.size(); ++i) {
-    expect_identical(wide_serial[i].result, scalar_serial[i].result,
-                     wide_serial[i].task);
-    expect_identical(wide_serial[i].result, wide_parallel[i].result,
-                     wide_serial[i].task);
+    const MatrixResult& r = wide_serial[i];
+    expect_identical(r.result, wide_parallel[i].result, r.task);
     // 4 lanes x (12 - 4) post-warmup cycles.
-    EXPECT_EQ(wide_serial[i].result.outputs.size(), 32u)
-        << wide_serial[i].task.benchmark;
+    EXPECT_EQ(r.result.outputs.size(), 32u) << r.task.benchmark;
+
+    const circuits::Benchmark bench =
+        circuits::make_benchmark(r.task.benchmark);
+    const Netlist& netlist = r.result.netlist;
+    SimOptions options;
+    options.snapshot_event = netlist.clocks().phases.size() >= 2 ? 1 : 0;
+    Simulator scalar(netlist, options);
+    OutputStream reference;
+    for (std::size_t l = 0; l < plan.lanes; ++l) {
+      const Stimulus lane = circuits::make_stimulus(
+          bench, plan.workload, 12, flow::lane_seed(r.task.seed, l));
+      for (auto& row : run_stream(scalar, lane, plan.options.warmup_cycles)) {
+        reference.push_back(std::move(row));
+      }
+    }
+    EXPECT_TRUE(streams_equal(reference, r.result.outputs))
+        << r.task.benchmark << "/" << flow::style_name(r.task.style);
   }
 }
 
@@ -404,9 +418,9 @@ TEST(RunMatrix, FannedOutCheckpointsMatchInlineCheckpoints) {
 
 // Deterministic-report regression (runs under TSan in CI): the per-stage
 // lint+analysis reports of one flow must be byte-identical JSON whether
-// the checkpoints run inline (incremental AnalysisSession), fanned out on
-// 1 worker, or fanned out on 8 workers — finalize_report's canonical
-// diagnostic ordering is what makes the parallel merge converge.
+// the checkpoints run inline, fanned out on 1 worker, or fanned out on 8
+// workers — finalize_report's canonical diagnostic ordering is what makes
+// the parallel merge converge.
 TEST(RunMatrix, LintWaveJsonByteIdenticalAcrossThreadCounts) {
   const circuits::Benchmark bench = circuits::make_benchmark("s1423");
   const Stimulus stim = circuits::make_stimulus(
@@ -455,6 +469,66 @@ TEST(RunMatrix, FannedOutSecCheckpointsStillBlameInjectedStage) {
   EXPECT_TRUE(result.lint.all_clean());
   EXPECT_GE(result.lint.stages.size(), 3u);
   EXPECT_EQ(result.lint.stages.front().stage, "synthesis");
+}
+
+// A stage hook that throws mid-flow must unwind cleanly: run_flow()
+// rethrows the hook's error, and every checkpoint submitted before it has
+// settled by then. With an executor, every worker is held busy for the
+// whole flow, so a checkpoint runs only when the flow thread joins it or
+// helps while waiting on other work (retime's parallel sweep does). At
+// "convert" nothing has helped yet, so the synthesis checks are settled
+// only if run_flow() joins them while unwinding; a check left behind would
+// still be queued afterwards, and would read the benchmark the test frees
+// (which the sanitizer jobs report). Runs under TSan in CI.
+TEST(RunFlow, StageHookErrorSettlesSubmittedCheckpoints) {
+  for (const std::size_t threads : {0, 4}) {  // 0: the inline path
+    for (const std::string_view fail_at : {"convert", "retime"}) {
+      SCOPED_TRACE(std::to_string(threads) + " thread(s), hook fails at " +
+                   std::string(fail_at));
+      auto bench = std::make_unique<circuits::Benchmark>(
+          circuits::make_benchmark("s1196"));
+      const Stimulus stim = circuits::make_stimulus(
+          *bench, circuits::Workload::kPaperDefault, 32, 7);
+      std::optional<Executor> executor;
+      std::atomic<std::size_t> busy{0};
+      std::atomic<bool> release{false};
+      std::vector<std::future<void>> blockers;
+      if (threads > 0) {
+        executor.emplace(threads);
+        for (std::size_t i = 0; i < threads; ++i) {
+          blockers.push_back(executor->submit([&busy, &release] {
+            busy.fetch_add(1);
+            while (!release.load()) std::this_thread::yield();
+          }));
+        }
+        while (busy.load() < threads) std::this_thread::yield();
+      }
+      std::vector<std::string> stages;
+      FlowOptions options;
+      options.check_equivalence = true;
+      options.check_rules = true;
+      options.executor = executor ? &*executor : nullptr;
+      options.stage_hook = [&](Netlist&, std::string_view stage) {
+        stages.emplace_back(stage);
+        if (stage == fail_at) throw Error("hook failed");
+      };
+      try {
+        (void)run_flow(*bench, DesignStyle::kThreePhase, stim, options);
+        ADD_FAILURE() << "run_flow() returned despite the hook's error";
+      } catch (const Error& e) {
+        EXPECT_NE(std::string(e.what()).find("hook failed"),
+                  std::string::npos)
+            << e.what();
+      }
+      EXPECT_EQ(stages.back(), fail_at);
+      if (executor) {
+        EXPECT_FALSE(executor->run_one());  // nothing left queued
+      }
+      bench.reset();
+      release.store(true);
+      for (std::future<void>& blocker : blockers) blocker.get();
+    }
+  }
 }
 
 // StepTimes::hold_s regression: hold-repair time must be accounted in its

@@ -132,13 +132,14 @@ TEST(Netlist, JournalDrainsSortedDedupedAndClears) {
   nl.set_clock_root(clk, Phase::kClk);
   const CellId a = nl.add_input("a");
   nl.enable_journal();
-  EXPECT_TRUE(nl.take_touched().empty());
+  JournalCursor cursor = nl.journal_cursor();
+  EXPECT_TRUE(nl.take_touched(cursor).empty());
 
   const CellId ff = nl.add_gate(CellKind::kDff, "ff",
                                 {nl.cell(a).out, nl.cell(clk).out},
                                 Phase::kClk);
   nl.replace_input(ff, 0, nl.cell(a).out);  // re-touches the same ids
-  const TouchedSet touched = nl.take_touched();
+  const TouchedSet touched = nl.take_touched(cursor);
   EXPECT_FALSE(touched.empty());
   for (std::size_t i = 1; i < touched.cells.size(); ++i) {
     EXPECT_LT(touched.cells[i - 1].value(), touched.cells[i].value());
@@ -147,7 +148,7 @@ TEST(Netlist, JournalDrainsSortedDedupedAndClears) {
     EXPECT_LT(touched.nets[i - 1].value(), touched.nets[i].value());
   }
   // Draining clears the recording; journaling stays enabled.
-  EXPECT_TRUE(nl.take_touched().empty());
+  EXPECT_TRUE(nl.take_touched(cursor).empty());
   EXPECT_TRUE(nl.journal_enabled());
 }
 

@@ -293,14 +293,14 @@ TEST(Cache, RejectsCorruptAndTruncatedEntries) {
 
 TEST(Protocol, RoundTripsEveryJobType) {
   const char* lines[] = {
-      R"({"id":"c1","type":"convert","benchmark":"s5378","style":"ms",)"
+      R"({"id":"c1","type":"convert","benchmark":"s5378","backend":"ms",)"
       R"("preset":"fast","workload":"coremark","cycles":48,"seed":11,)"
       R"("lanes":4,"check_rules":true})",
       R"({"id":"p1","type":"power_eval","benchmark":"s1238"})",
-      R"({"id":"l1","type":"lint","benchmark":"s1196","style":"3p",)"
+      R"({"id":"l1","type":"lint","benchmark":"s1196","backend":"3p",)"
       R"("preset":"fast","cycles":16,"check_analysis":true})",
       R"({"id":"m1","type":"matrix_sweep","benchmarks":["s1196","s1238"],)"
-      R"("styles":["ff","3p"],"preset":"no-gating"})",
+      R"("backends":["ff","3p"],"preset":"no-gating"})",
       R"({"id":"s1","type":"status"})",
       R"({"id":"d1","type":"shutdown"})",
   };
@@ -344,13 +344,37 @@ TEST(Protocol, DefaultsApplyWhenFieldsOmitted) {
   ASSERT_EQ(req.styles.size(), 3u);     // ff/ms/3p default grid
 }
 
+TEST(Protocol, RetiredStyleFieldsRejectedNamingBackend) {
+  // Without the check, a request that still says "style" would silently
+  // run the default 3-P backend (and "styles" the default grid).
+  const struct {
+    const char* line;
+    const char* field;
+  } cases[] = {
+      {R"({"id":"a","type":"convert","benchmark":"s1196","style":"ms"})",
+       "'backend'"},
+      {R"({"id":"b","type":"lint","benchmark":"s1196","backend":"ms",)"
+       R"("style":"ms"})",
+       "'backend'"},
+      {R"({"id":"c","type":"matrix_sweep","styles":["ff"]})", "'backends'"},
+  };
+  for (const auto& c : cases) {
+    Request req;
+    std::string error;
+    EXPECT_FALSE(parse_request(c.line, &req, &error)) << c.line;
+    EXPECT_NE(error.find(c.field), std::string::npos) << error;
+    EXPECT_NE(error.find("valid backends"), std::string::npos) << error;
+    EXPECT_FALSE(req.id.empty()) << c.line;
+  }
+}
+
 TEST(Protocol, RejectsHostileRequestsWithRecoverableId) {
   const char* bad[] = {
       "not json at all",
       R"([1,2,3])",
       R"({"id":"x","type":"frobnicate"})",
       R"({"id":"x","type":"convert"})",                       // no benchmark
-      R"({"id":"x","type":"convert","benchmark":"a","style":"zz"})",
+      R"({"id":"x","type":"convert","benchmark":"a","backend":"zz"})",
       R"({"id":"x","type":"convert","benchmark":"a","lanes":65})",
       R"({"id":"x","type":"convert","benchmark":"a","cycles":0})",
       R"({"id":"x","type":"convert","benchmark":"a","preset":"??"})",
@@ -376,7 +400,7 @@ TEST(Protocol, RejectsHostileRequestsWithRecoverableId) {
 namespace {
 
 constexpr const char* kConvertLine =
-    R"({"id":"c","type":"convert","benchmark":"s1238","style":"3p",)"
+    R"({"id":"c","type":"convert","benchmark":"s1238","backend":"3p",)"
     R"("preset":"fast","cycles":16})";
 
 ServerOptions quick_options(std::size_t threads) {
@@ -421,7 +445,7 @@ TEST(Server, PowerEvalSharesTheConvertCacheEntry) {
   Server server(quick_options(2));
   ASSERT_TRUE(server.handle_line(kConvertLine).ok);
   const Outcome power = server.handle_line(
-      R"({"id":"p","type":"power_eval","benchmark":"s1238","style":"3p",)"
+      R"({"id":"p","type":"power_eval","benchmark":"s1238","backend":"3p",)"
       R"("preset":"fast","cycles":16})");
   ASSERT_TRUE(power.ok);
   EXPECT_TRUE(power.cached);  // same computation, reduced payload
@@ -434,12 +458,12 @@ TEST(Server, LintJobSharesTheFullCheckConvertCacheEntry) {
   // A convert with both check passes enabled computes the same wave a lint
   // job forces, so the lint answer must come straight from its cache entry.
   const Outcome convert = server.handle_line(
-      R"({"id":"c","type":"convert","benchmark":"s1238","style":"3p",)"
+      R"({"id":"c","type":"convert","benchmark":"s1238","backend":"3p",)"
       R"("preset":"fast","cycles":16,"check_rules":true,)"
       R"("check_analysis":true})");
   ASSERT_TRUE(convert.ok);
   const Outcome lint = server.handle_line(
-      R"({"id":"l","type":"lint","benchmark":"s1238","style":"3p",)"
+      R"({"id":"l","type":"lint","benchmark":"s1238","backend":"3p",)"
       R"("preset":"fast","cycles":16})");
   ASSERT_TRUE(lint.ok);
   EXPECT_TRUE(lint.cached);  // same computation, reduced payload
@@ -457,7 +481,7 @@ TEST(Server, SweepDedupesAndFailsPerCell) {
   const Outcome out = server.handle_line(
       R"({"id":"m","type":"matrix_sweep",)"
       R"("benchmarks":["s1238","s1238","no-such-circuit"],)"
-      R"("styles":["3p"],"preset":"fast","cycles":16})");
+      R"("backends":["3p"],"preset":"fast","cycles":16})");
   EXPECT_TRUE(out.ok);  // the sweep answers even with a failing cell
   util::Json doc;
   std::string error;

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "src/sim/simulator.hpp"
-#include <sstream>
 
 #include "src/sim/stimulus.hpp"
 
@@ -283,27 +282,6 @@ TEST(Simulator, TwoPhaseClkClkbarIntermediate) {
   for (std::size_t n = 0; n < out.size(); ++n) {
     EXPECT_EQ(out[n][0], stim[n + 4][0]) << "cycle " << n;
   }
-}
-
-TEST(Simulator, VcdDumpIsWellFormed) {
-  Netlist nl = ff_chain(2);
-  Simulator sim(nl);
-  std::ostringstream vcd;
-  sim.start_vcd(vcd);
-  Stimulus stim = bit_stream({1, 0, 1, 1});
-  for (const auto& pi : stim) sim.step(pi);
-  sim.stop_vcd();
-  const std::string text = vcd.str();
-  EXPECT_NE(text.find("$timescale 1ps $end"), std::string::npos);
-  EXPECT_NE(text.find("$enddefinitions $end"), std::string::npos);
-  EXPECT_NE(text.find("$var wire 1 "), std::string::npos);
-  // One timestep marker per event per cycle (period 1000, events 0 & 500).
-  EXPECT_NE(text.find("#0"), std::string::npos);
-  EXPECT_NE(text.find("#500"), std::string::npos);
-  EXPECT_NE(text.find("#3500"), std::string::npos);
-  // Value-change lines reference declared identifiers.
-  EXPECT_NE(text.find("\n1"), std::string::npos);
-  EXPECT_NE(text.find("\n0"), std::string::npos);
 }
 
 TEST(Simulator, WrongPiCountThrows) {

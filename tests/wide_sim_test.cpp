@@ -3,8 +3,12 @@
 // scalar run driven with stimulus stream i, and the wide ActivityStats
 // must equal the per-lane scalar stats summed — across benchmarks, all
 // four design styles (including ICG / M1 / M2 cells), transparent-latch
-// init divergence, and nested clock events from illegal gating.
+// init divergence, and nested clock events from illegal gating. Also the
+// lane-0 VCD writer.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <sstream>
 
 #include "src/circuits/benchmark.hpp"
 #include "src/sim/stimulus.hpp"
@@ -123,12 +127,16 @@ void expect_bit_identity(const Netlist& netlist, int snapshot_event,
 }
 
 TEST(WideSimulator, BitIdenticalAcrossBenchmarksAndStyles) {
+  // One lane is what every single-stimulus flow simulates.
   for (const char* name : {"s1196", "s1488"}) {
     const circuits::Benchmark bench = circuits::make_benchmark(name);
     for (const StyleNetlist& style : style_netlists(bench)) {
-      SCOPED_TRACE(std::string(name) + "/" + style.label);
-      expect_bit_identity(style.netlist, style.snapshot_event, /*lanes=*/5,
-                          /*cycles=*/24, /*seed=*/1000);
+      for (const std::size_t lanes : {1, 5}) {
+        SCOPED_TRACE(std::string(name) + "/" + style.label + "/" +
+                     std::to_string(lanes) + " lane(s)");
+        expect_bit_identity(style.netlist, style.snapshot_event, lanes,
+                            /*cycles=*/24, /*seed=*/1000);
+      }
     }
   }
 }
@@ -224,6 +232,93 @@ TEST(WideSimulator, DdcgGroupsIdenticalFromScalarAndWideActivity) {
   EXPECT_EQ(a.xor_cells, b.xor_cells);
   EXPECT_EQ(from_scalar.num_cells(), from_wide.num_cells());
   EXPECT_EQ(from_scalar.num_nets(), from_wide.num_nets());
+}
+
+TEST(WideSimulator, VcdDumpIsWellFormed) {
+  // Two-stage FF shift chain, period 1000 ps: events at 0 and 500.
+  Netlist nl("ff_chain");
+  const CellId clk = nl.add_input("clk");
+  nl.set_clock_root(clk, Phase::kClk);
+  const NetId clk_net = nl.cell(clk).out;
+  nl.clocks() = single_phase_spec(1000, clk_net);
+  NetId d = nl.cell(nl.add_input("in")).out;
+  for (int i = 0; i < 2; ++i) {
+    const NetId q = nl.add_net("q" + std::to_string(i));
+    nl.add_cell(CellKind::kDff, "ff" + std::to_string(i), {d, clk_net}, q,
+                Phase::kClk);
+    d = q;
+  }
+  nl.add_output("out", d);
+
+  WideSimulator sim(nl, 1);
+  std::ostringstream vcd;
+  sim.start_vcd(vcd);
+  for (const std::uint64_t bit : {1, 0, 1, 1}) {
+    const std::vector<std::uint64_t> pi{bit};
+    sim.step(pi);
+  }
+  sim.stop_vcd();
+  const std::string text = vcd.str();
+  EXPECT_NE(text.find("$timescale 1ps $end"), std::string::npos);
+  EXPECT_NE(text.find("$enddefinitions $end"), std::string::npos);
+  EXPECT_NE(text.find("$var wire 1 "), std::string::npos);
+  // One timestep marker per event per cycle.
+  EXPECT_NE(text.find("#0"), std::string::npos);
+  EXPECT_NE(text.find("#500"), std::string::npos);
+  EXPECT_NE(text.find("#3500"), std::string::npos);
+  // Value-change lines reference declared identifiers.
+  EXPECT_NE(text.find("\n1"), std::string::npos);
+  EXPECT_NE(text.find("\n0"), std::string::npos);
+}
+
+/// Splits a VCD into its header and its value changes: one entry per
+/// timestep in file order, the changes written before the first timestep
+/// (reset settling) first. Each entry is its '#' line followed by that
+/// step's changes, sorted — the order among simultaneous changes is not
+/// part of the waveform.
+std::vector<std::vector<std::string>> vcd_steps(const std::string& text,
+                                                std::string* header) {
+  const std::size_t body = text.find("$end\n", text.find("$dumpvars")) + 5;
+  *header = text.substr(0, body);
+  std::vector<std::vector<std::string>> steps(1);
+  std::istringstream in(text.substr(body));
+  for (std::string line; std::getline(in, line);) {
+    if (line.starts_with('#')) steps.emplace_back();
+    steps.back().push_back(line);
+  }
+  for (std::size_t i = 0; i < steps.size(); ++i) {
+    std::sort(steps[i].begin() + (i == 0 ? 0 : 1), steps[i].end());
+  }
+  return steps;
+}
+
+TEST(WideSimulator, VcdLaneZeroMatchesOneLaneRun) {
+  // The flow dumps lane 0 of a multi-lane run; its waveform must be the
+  // one a one-lane run of the same stimulus writes, timestep by timestep.
+  const circuits::Benchmark bench = circuits::make_benchmark("s1196");
+  for (const StyleNetlist& style : style_netlists(bench)) {
+    SCOPED_TRACE(style.label);
+    SimOptions options;
+    options.snapshot_event = style.snapshot_event;
+    const std::vector<Stimulus> lanes = make_lanes(
+        4, style.netlist.data_inputs().size(), /*cycles=*/12, /*seed=*/55);
+    const auto dump = [&](std::span<const Stimulus> run) {
+      WideSimulator sim(style.netlist, run.size(), options);
+      std::ostringstream vcd;
+      sim.start_vcd(vcd);
+      run_wide_stream(sim, pack_stimulus(run), /*warmup=*/2);
+      return vcd.str();
+    };
+    std::string one_header, four_header;
+    const auto one = vcd_steps(dump({lanes.data(), 1}), &one_header);
+    const auto four = vcd_steps(dump(lanes), &four_header);
+    EXPECT_EQ(one_header, four_header);
+    ASSERT_EQ(one.size(), four.size());
+    EXPECT_GT(one.size(), 12u);
+    for (std::size_t i = 0; i < one.size(); ++i) {
+      EXPECT_EQ(one[i], four[i]) << "timestep entry " << i;
+    }
+  }
 }
 
 TEST(WideSimulator, PackStimulusValidatesShape) {
