@@ -23,10 +23,16 @@
 // with >= --gate-ffs registers gates the build (default 5x, --no-gate to
 // record without failing — CI's small-size run and TSan use that).
 //
+// Each grid cell also times one serial place() of its netlist and records
+// microseconds per cell. The placer is near-linear (O(pins) per region and
+// FM pass), so a second gate requires the per-cell cost at the largest size
+// to stay within 2x that at the smallest (both variants summed; also
+// waived by --no-gate).
+//
 // A final flow section runs run_flow (3-phase style) on a small macro once
 // serially and once on --threads workers, asserting bit-identical results
 // (registers, area, output stream, timing report) — the determinism gate
-// for the intra-flow parallel CTS/retime/FM/placer paths — and records the
+// for the intra-flow parallel CTS/retime/placer paths — and records the
 // per-stage wall clock plus the full/incremental STA split.
 //
 //   $ ./bench/macro_flow [--sizes 2000,20000,100000] [--edits N]
@@ -35,6 +41,7 @@
 //                        [--out FILE]
 //
 // Exit status: 0 when every identity holds and the gate passes, 1 otherwise.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -116,9 +123,14 @@ struct CellRecord {
   bool min_period_feasible = false;
   std::int64_t min_period_ps = 0;
   int edit_checks = 0;
+  double place_s = 0;  // one serial place() of the cell's netlist
   int failures = 0;  // identity/equality violations in this cell
   SmoEngine::Stats stats;
 };
+
+double us_per_cell(double seconds, std::size_t cells) {
+  return cells > 0 ? seconds * 1e6 / static_cast<double>(cells) : 0.0;
+}
 
 /// True when the enum value is a plain combinational gate (kBuf..kMaj3 in
 /// declaration order).
@@ -151,8 +163,13 @@ CellRecord run_cell(int ffs, bool three_phase, int edits) {
     std::fprintf(stderr, "FAIL %s: %s\n", rec.name.c_str(), what);
   };
 
-  // --- full leg: cold STA per repair pass, cold STA per probe. ----------
+  // --- placement leg: one serial placement of the generated netlist. ----
   Stopwatch watch;
+  place(base, library);
+  rec.place_s = watch.seconds();
+
+  // --- full leg: cold STA per repair pass, cold STA per probe. ----------
+  watch.reset();
   Netlist full_nl = base;
   const HoldRepairResult full_hold =
       repair_hold(full_nl, library, topt, 10, nullptr);
@@ -281,12 +298,14 @@ CellRecord run_cell(int ffs, bool three_phase, int edits) {
   std::printf(
       "%-16s %8zu cells  full %7.2fs (hold %6.2f + minp %6.2f)  "
       "inc %7.2fs (hold %6.2f + minp %6.2f, prime %5.2f)  %5.1fx  "
-      "[%d full / %d patch / %d skip, cone %ld cells]%s\n",
+      "[%d full / %d patch / %d skip, cone %ld cells]  place %6.2fs "
+      "(%.2f us/cell)%s\n",
       rec.name.c_str(), rec.cells, full_total, rec.full_hold_s,
       rec.full_minp_s, inc_total, rec.inc_hold_s, rec.inc_minp_s,
       rec.inc_prime_s, rec.speedup, rec.stats.full_runs,
       rec.stats.incremental_runs, rec.stats.skipped_runs,
-      rec.stats.cone_cells, rec.failures ? "  FAILED" : "");
+      rec.stats.cone_cells, rec.place_s, us_per_cell(rec.place_s, rec.cells),
+      rec.failures ? "  FAILED" : "");
   std::fflush(stdout);
   return rec;
 }
@@ -449,6 +468,37 @@ int main(int argc, char** argv) {
     std::printf("gate skipped: no cell reaches %zu FFs\n", gate_ffs);
   }
 
+  // Placement gate: per-cell placement cost at the largest size within
+  // kPlaceGrowth of the smallest's (both variants summed per size).
+  constexpr double kPlaceGrowth = 2.0;
+  const auto place_us = [&](int ffs) {
+    double seconds = 0;
+    std::size_t cells = 0;
+    for (const CellRecord& r : grid) {
+      if (r.ffs != ffs) continue;
+      seconds += r.place_s;
+      cells += r.cells;
+    }
+    return us_per_cell(seconds, cells);
+  };
+  const int smallest = *std::min_element(sizes.begin(), sizes.end());
+  const int biggest = *std::max_element(sizes.begin(), sizes.end());
+  const double place_growth =
+      place_us(smallest) > 0 ? place_us(biggest) / place_us(smallest) : 0.0;
+  const bool place_gate_checked = biggest > smallest;
+  if (place_gate_checked) {
+    std::printf(
+        "place gate: %.2f us/cell @ %d FFs vs %.2f @ %d FFs = %.2fx "
+        "(allow %.1fx)\n",
+        place_us(biggest), biggest, place_us(smallest), smallest,
+        place_growth, kPlaceGrowth);
+    if (!no_gate && place_growth > kPlaceGrowth) {
+      std::fprintf(stderr, "FAIL place gate: %.2fx > %.1fx\n", place_growth,
+                   kPlaceGrowth);
+      ++failures;
+    }
+  }
+
   const FlowRecord flow_rec =
       run_flow_section(flow_ffs, cycles, threads, &failures);
 
@@ -482,6 +532,8 @@ int main(int argc, char** argv) {
     w.key("sta_skipped_runs").value(r.stats.skipped_runs);
     w.key("cone_cells").value(static_cast<std::int64_t>(r.stats.cone_cells));
     w.key("edit_checks").value(r.edit_checks);
+    w.key("place_s").value(r.place_s);
+    w.key("place_us_per_cell").value(us_per_cell(r.place_s, r.cells));
     w.key("identical").value(r.failures == 0);
     w.end_object();
   }
@@ -490,6 +542,8 @@ int main(int argc, char** argv) {
   w.key("gate_ffs").value(static_cast<std::uint64_t>(gate_ffs));
   w.key("gate_ratio").value(gate_ratio);
   w.key("gated_speedup").value(gated_speedup);
+  w.key("place_gate_checked").value(place_gate_checked);
+  w.key("place_growth").value(place_growth);
   w.key("flow").begin_object();
   w.key("ffs").value(flow_rec.ffs);
   w.key("threads").value(static_cast<std::uint64_t>(flow_rec.threads));

@@ -14,11 +14,16 @@
 // reductions (self-loop removal, isolated inclusion, degree-1 folding),
 // connected-component decomposition, and per-component branch and bound with
 // a greedy incumbent. When a component exceeds the time budget the greedy
-// solution is kept and the result is marked non-optimal.
+// solution is kept and the result is marked non-optimal. The step budget is
+// part of the result (a truncated search keeps what it held at that step),
+// so the branch and bound skips repeated subtrees only by adding their
+// recorded step counts (SubtreeMemo).
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "src/phase/assignment.hpp"
+#include "src/util/hash.hpp"
 #include "src/util/log.hpp"
 #include "src/util/rng.hpp"
 
@@ -63,6 +68,50 @@ ConflictGraph build_conflict_graph(const RegisterGraph& graph) {
 
 enum : std::int8_t { kUndecided = -1, kOut = 0, kIn = 1 };
 
+/// Step counts of finished search subtrees, keyed by the state each starts
+/// from: a direct-mapped cache, a newer subtree evicting an older one in
+/// its slot. A subtree that recorded no new best depends on nothing but
+/// that state, so replaying it is the same as adding its step count.
+class SubtreeMemo {
+ public:
+  /// `words` per key; 256 slots per search node, at most 2^14 (a few
+  /// hundred KB), which holds the repeats of the paper designs' searches.
+  SubtreeMemo() = default;
+  SubtreeMemo(std::size_t words, std::size_t nodes)
+      : words_(words),
+        mask_(std::min(std::bit_ceil(256 * nodes), std::size_t{1} << 14) - 1),
+        keys_((mask_ + 1) * words),
+        steps_(mask_ + 1, 0) {}
+
+  /// Steps of the subtree starting from `key`, or 0 when unknown.
+  [[nodiscard]] std::uint64_t find(const std::uint64_t* key) const {
+    const std::size_t slot = slot_of(key);
+    return std::equal(key, key + words_, &keys_[slot * words_])
+               ? steps_[slot]
+               : 0;
+  }
+
+  void insert(const std::uint64_t* key, std::uint64_t steps) {
+    const std::size_t slot = slot_of(key);
+    std::copy(key, key + words_, &keys_[slot * words_]);
+    steps_[slot] = steps;
+  }
+
+ private:
+  [[nodiscard]] std::size_t slot_of(const std::uint64_t* key) const {
+    std::uint64_t hash = 0;
+    for (std::size_t w = 0; w < words_; ++w) {
+      hash = util::splitmix64(hash ^ key[w]);
+    }
+    return hash & mask_;
+  }
+
+  std::size_t words_ = 0;
+  std::size_t mask_ = 0;
+  std::vector<std::uint64_t> keys_;   // words_ per slot
+  std::vector<std::uint64_t> steps_;  // 0 marks an empty slot
+};
+
 /// Branch-and-bound over one connected component.
 class ComponentSearch {
  public:
@@ -74,7 +123,6 @@ class ComponentSearch {
         status_(status),
         deadline_s_(deadline_s),
         timer_(timer) {
-    pi_local_count_.assign(static_cast<std::size_t>(cg.num_pis), 0);
     // Branch high-degree nodes first: they constrain the most.
     std::sort(nodes_.begin(), nodes_.end(), [&](int a, int b) {
       return cg_.adj[static_cast<std::size_t>(a)].size() >
@@ -94,6 +142,7 @@ class ComponentSearch {
     if (nodes_.size() > kExactLimit) {
       truncated_ = true;
     } else {
+      build_local();
       dfs(0, 0, static_cast<int>(nodes_.size()));
     }
     // Apply the best assignment.
@@ -104,26 +153,81 @@ class ComponentSearch {
   }
 
  private:
-  /// Marginal gain of adding u to S: +1 minus newly-touched PI penalties.
-  int include_gain(int u) const {
+  /// The search's view of the component, indexed by branch position i
+  /// (node nodes_[i]): in-component adjacency and component-local PI ids in
+  /// CSR form, and whether a node is blocked by a neighbor the reductions
+  /// put in S (fixed for the whole search — an undecided node never has an
+  /// included in-component neighbor, since including a node excludes its
+  /// undecided neighbors).
+  void build_local() {
+    const std::size_t m = nodes_.size();
+    std::vector<int> position(status_.size(), -1);
+    for (std::size_t i = 0; i < m; ++i) {
+      position[static_cast<std::size_t>(nodes_[i])] = static_cast<int>(i);
+    }
+    std::vector<int> local_pi(static_cast<std::size_t>(cg_.num_pis), -1);
+    int num_local_pis = 0;
+    adj_begin_.assign(1, 0);
+    pi_begin_.assign(1, 0);
+    blocked_.assign(m, 0);
+    for (std::size_t i = 0; i < m; ++i) {
+      const auto u = static_cast<std::size_t>(nodes_[i]);
+      blocked_[i] = cg_.self_loop[u];
+      for (const int v : cg_.adj[u]) {
+        const int local = position[static_cast<std::size_t>(v)];
+        if (local >= 0) {
+          adj_.push_back(local);
+        } else if (status_[static_cast<std::size_t>(v)] == kIn) {
+          blocked_[i] = 1;
+        }
+      }
+      adj_begin_.push_back(adj_.size());
+      for (const int p : cg_.node_pis[u]) {
+        int& id = local_pi[static_cast<std::size_t>(p)];
+        if (id < 0) id = num_local_pis++;
+        pis_.push_back(id);
+      }
+      pi_begin_.push_back(pis_.size());
+    }
+    local_status_.assign(m, kUndecided);
+    pi_count_.assign(static_cast<std::size_t>(num_local_pis), 0);
+    // Memo key: the open (undecided) positions, the touched PIs, then one
+    // word for the branch position and the bound's slack.
+    pi_word_ = (m + 63) / 64;
+    key_.assign(
+        pi_word_ + (static_cast<std::size_t>(num_local_pis) + 63) / 64 + 1, 0);
+    for (std::size_t i = 0; i < m; ++i) flip_open(i);
+    memo_ = SubtreeMemo(key_.size(), m);
+  }
+
+  void flip_open(std::size_t i) {
+    key_[i / 64] ^= std::uint64_t{1} << (i % 64);
+  }
+
+  /// Moves position i between undecided and decided (`status`).
+  void decide(std::size_t i, std::int8_t status) {
+    flip_open(i);
+    local_status_[i] = status;
+  }
+
+  /// Marginal gain of adding node i to S: +1 minus newly-touched PI
+  /// penalties.
+  int include_gain(std::size_t i) const {
     int gain = 1;
-    for (const int p : cg_.node_pis[static_cast<std::size_t>(u)]) {
-      if (pi_local_count_[static_cast<std::size_t>(p)] == 0) --gain;
+    for (std::size_t k = pi_begin_[i]; k < pi_begin_[i + 1]; ++k) {
+      if (pi_count_[static_cast<std::size_t>(pis_[k])] == 0) --gain;
     }
     return gain;
   }
 
-  void do_include(int u) {
-    status_[static_cast<std::size_t>(u)] = kIn;
-    for (const int p : cg_.node_pis[static_cast<std::size_t>(u)]) {
-      ++pi_local_count_[static_cast<std::size_t>(p)];
-    }
-  }
-
-  void undo_include(int u) {
-    status_[static_cast<std::size_t>(u)] = kUndecided;
-    for (const int p : cg_.node_pis[static_cast<std::size_t>(u)]) {
-      --pi_local_count_[static_cast<std::size_t>(p)];
+  void count_pis(std::size_t i, int delta) {
+    for (std::size_t k = pi_begin_[i]; k < pi_begin_[i + 1]; ++k) {
+      const auto p = static_cast<std::size_t>(pis_[k]);
+      const bool touched = pi_count_[p] != 0;
+      pi_count_[p] += delta;
+      if (touched != (pi_count_[p] != 0)) {
+        key_[pi_word_ + p / 64] ^= std::uint64_t{1} << (p % 64);
+      }
     }
   }
 
@@ -220,24 +324,18 @@ class ComponentSearch {
       }
     }
 
-    // Record via the shared status_/record_best machinery.
-    for (const int u : nodes_) {
-      if (in_s[static_cast<std::size_t>(u)]) do_include(u);
-    }
-    record_best(gain);
-    for (const int u : nodes_) {
-      if (status_[static_cast<std::size_t>(u)] == kIn) undo_include(u);
-      status_[static_cast<std::size_t>(u)] = kUndecided;
+    best_gain_ = std::max(best_gain_, gain);
+    best_assign_.resize(nodes_.size());
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      best_assign_[i] = in_s[static_cast<std::size_t>(nodes_[i])] ? kIn : kOut;
     }
   }
 
   void record_best(int gain) {
-    if (gain <= best_gain_ && !best_assign_.empty()) return;
-    best_gain_ = std::max(best_gain_, gain);
-    best_assign_.resize(nodes_.size());
+    if (gain <= best_gain_) return;
+    best_gain_ = gain;
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
-      best_assign_[i] =
-          status_[static_cast<std::size_t>(nodes_[i])] == kIn ? kIn : kOut;
+      best_assign_[i] = local_status_[i] == kIn ? kIn : kOut;
     }
   }
 
@@ -245,61 +343,105 @@ class ComponentSearch {
   /// answer in practice and the proof is not worth the wall clock.
   static constexpr std::uint64_t kMaxSteps = 4'000'000;
 
-  void dfs(std::size_t index, int gain, int undecided) {
-    if (++steps_ > kMaxSteps ||
-        ((steps_ & 2047) == 0 && timer_.seconds() > deadline_s_)) {
+  /// Counts `n` search steps; past the step or time budget the search is
+  /// truncated. The clock is read once per 2048 steps.
+  void count_steps(std::uint64_t n) {
+    const std::uint64_t before = steps_;
+    steps_ += n;
+    if (steps_ > kMaxSteps ||
+        ((before >> 11) != (steps_ >> 11) && timer_.seconds() > deadline_s_)) {
       truncated_ = true;
     }
-    if (truncated_) return;
+  }
+
+  /// One search node: one step, then a bound check, then the branches.
+  /// A subtree that finishes without recording a new best is memoized by
+  /// its starting state (open positions, touched PIs, position, slack
+  /// over the best) — everything its course depends on — so a repeat of
+  /// that state adds the recorded step count instead of re-searching it.
+  /// Step counts, and so truncation and the result, are exactly those of
+  /// the plain search.
+  void dfs(std::size_t index, int gain, int undecided) {
+    // Optimistic bound; at a leaf (undecided == 0) it is exactly
+    // record_best's improvement test, so it may come first.
+    if (truncated_ || gain + undecided <= best_gain_) {
+      count_steps(1);
+      return;
+    }
+    const std::uint64_t state =
+        std::uint64_t{index} << 32 |
+        static_cast<std::uint32_t>(gain + undecided - best_gain_);
+    key_.back() = state;
+    if (const std::uint64_t steps = memo_.find(key_.data())) {
+      count_steps(steps);
+      return;
+    }
+    const std::uint64_t start = steps_;
+    const int best_before = best_gain_;
+    count_steps(1);
+    if (!truncated_) branch(index, gain, undecided);
+    if (!truncated_ && best_gain_ == best_before) {
+      key_.back() = state;  // the branches restored every other key word
+      memo_.insert(key_.data(), steps_ - start);
+    }
+  }
+
+  void branch(std::size_t index, int gain, int undecided) {
     // Skip already-decided nodes (excluded by a previous inclusion).
-    while (index < nodes_.size() &&
-           status_[static_cast<std::size_t>(nodes_[index])] != kUndecided) {
+    while (index < nodes_.size() && local_status_[index] != kUndecided) {
       ++index;
     }
     if (index == nodes_.size()) {
       record_best(gain);
       return;
     }
-    if (gain + undecided <= best_gain_) return;  // optimistic bound
-
-    const int u = nodes_[index];
-    // Branch 1: include u (illegal for self-loop nodes).
-    if (!cg_.self_loop[static_cast<std::size_t>(u)]) {
-      bool blocked = false;
-      for (const int v : cg_.adj[static_cast<std::size_t>(u)]) {
-        if (status_[static_cast<std::size_t>(v)] == kIn) {
-          blocked = true;
-          break;
+    // The node is decided in both branches.
+    decide(index, kOut);
+    // Branch 1: include the node (illegal for self-loop nodes and nodes
+    // next to one the reductions included).
+    if (!blocked_[index]) {
+      const int marginal = include_gain(index);
+      count_pis(index, +1);
+      local_status_[index] = kIn;
+      // Neighbors this inclusion excludes, on one stack shared by every
+      // depth (no allocation per branch).
+      const std::size_t mark = newly_out_.size();
+      for (std::size_t a = adj_begin_[index]; a < adj_begin_[index + 1]; ++a) {
+        const auto v = static_cast<std::size_t>(adj_[a]);
+        if (local_status_[v] == kUndecided) {
+          decide(v, kOut);
+          newly_out_.push_back(v);
         }
       }
-      if (!blocked) {
-        const int marginal = include_gain(u);
-        do_include(u);
-        std::vector<int> newly_out;
-        for (const int v : cg_.adj[static_cast<std::size_t>(u)]) {
-          if (status_[static_cast<std::size_t>(v)] == kUndecided) {
-            status_[static_cast<std::size_t>(v)] = kOut;
-            newly_out.push_back(v);
-          }
-        }
-        dfs(index + 1, gain + marginal,
-            undecided - 1 - static_cast<int>(newly_out.size()));
-        for (const int v : newly_out) {
-          status_[static_cast<std::size_t>(v)] = kUndecided;
-        }
-        undo_include(u);
+      dfs(index + 1, gain + marginal,
+          undecided - 1 - static_cast<int>(newly_out_.size() - mark));
+      for (std::size_t k = mark; k < newly_out_.size(); ++k) {
+        decide(newly_out_[k], kUndecided);
       }
+      newly_out_.resize(mark);
+      count_pis(index, -1);
+      local_status_[index] = kOut;
     }
-    // Branch 2: exclude u.
-    status_[static_cast<std::size_t>(u)] = kOut;
+    // Branch 2: exclude the node.
     dfs(index + 1, gain, undecided - 1);
-    status_[static_cast<std::size_t>(u)] = kUndecided;
+    decide(index, kUndecided);
   }
 
   const ConflictGraph& cg_;
   std::vector<int> nodes_;
   std::vector<std::int8_t>& status_;
-  std::vector<int> pi_local_count_;
+  // Search state (build_local).
+  std::vector<std::size_t> adj_begin_;
+  std::vector<int> adj_;
+  std::vector<std::size_t> pi_begin_;
+  std::vector<int> pis_;
+  std::vector<std::uint8_t> blocked_;
+  std::vector<std::int8_t> local_status_;
+  std::vector<int> pi_count_;
+  std::vector<std::size_t> newly_out_;
+  std::size_t pi_word_ = 0;        // first PI word of key_
+  std::vector<std::uint64_t> key_;  // memo key of the current state
+  SubtreeMemo memo_;
   double deadline_s_;
   Stopwatch& timer_;
 

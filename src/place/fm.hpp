@@ -3,14 +3,23 @@
 // Used by the recursive min-cut placer. The interface is a plain hypergraph
 // (vertices with weights, hyperedges as vertex lists) so it is testable
 // independently of the netlist.
+//
+// Cost: pin lists are built once per call; each pass is O(pins + n * n /
+// 64) word operations — per-side gain buckets (|gain| <= max vertex degree)
+// hold their vertices in index-ordered bitsets, so a move costs a scan of
+// bitset words, not of vertices. The placer hands FM regions of at most
+// fm_threshold cells (a few dozen words), so in practice a pass is O(pins).
+//
+// Tie-break contract: every step moves the unlocked vertex of highest gain
+// among those whose move keeps side 0 within the balance bound, ties going
+// to the lowest vertex index; a pass keeps the shortest move prefix of
+// strictly greatest cumulative gain. The result is therefore exactly that
+// of the textbook O(n^2) scan, which is what keeps placements — and every
+// wire cap and power number derived from them — bit-identical.
 #pragma once
 
 #include <cstdint>
 #include <vector>
-
-namespace tp::util {
-class Executor;
-}  // namespace tp::util
 
 namespace tp {
 
@@ -19,13 +28,6 @@ struct FmOptions {
   double balance_tolerance = 0.1;
   int max_passes = 6;
   std::uint64_t seed = 1;
-  /// Chunk the pure init scans of each pass (per-edge side counts,
-  /// per-vertex initial gains, the final cut count) across this pool.
-  /// Disjoint per-index writes and chunk-ordered integer sums keep the
-  /// result bit-identical to the serial scan at any thread count; the
-  /// move loop itself is inherently sequential and stays serial. Not
-  /// owned.
-  util::Executor* executor = nullptr;
 };
 
 struct FmResult {
@@ -34,7 +36,8 @@ struct FmResult {
 };
 
 /// Partitions the hypergraph into two balanced sides minimizing the number
-/// of cut hyperedges. `weights` are vertex areas (scaled to integers).
+/// of cut hyperedges. `weights` are vertex areas (scaled to integers); a
+/// hyperedge lists each of its vertices once.
 FmResult fm_bipartition(const std::vector<std::int64_t>& weights,
                         const std::vector<std::vector<int>>& hyperedges,
                         const FmOptions& options = {});

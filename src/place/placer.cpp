@@ -1,6 +1,7 @@
 #include "src/place/placer.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <future>
@@ -33,24 +34,55 @@ std::uint64_t region_seed(std::uint64_t seed, std::uint64_t path) {
 /// subtrees finish faster inline than a task round-trip.
 constexpr std::size_t kParallelRegionMin = 2048;
 
+/// Region-sized map from cell id to the cell's index in its region
+/// (open addressing, linear probing): the split helpers' only per-region
+/// scratch, so a region costs O(its pins), not O(netlist).
+class LocalIndex {
+ public:
+  explicit LocalIndex(const std::vector<CellId>& cells)
+      : mask_(std::bit_ceil(2 * cells.size()) - 1),
+        slots_(mask_ + 1, {kEmpty, 0}) {
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      std::size_t s = probe_start(cells[i].value());
+      while (slots_[s].first != kEmpty) s = (s + 1) & mask_;
+      slots_[s] = {cells[i].value(), static_cast<int>(i)};
+    }
+  }
+
+  /// Index of `cell` in the region, or -1 when it lies outside.
+  [[nodiscard]] int find(CellId cell) const {
+    if (!cell.valid()) return -1;
+    for (std::size_t s = probe_start(cell.value());; s = (s + 1) & mask_) {
+      if (slots_[s].first == cell.value()) return slots_[s].second;
+      if (slots_[s].first == kEmpty) return -1;
+    }
+  }
+
+ private:
+  static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+
+  [[nodiscard]] std::size_t probe_start(std::uint32_t id) const {
+    return static_cast<std::size_t>(id * 0x9e3779b1U) & mask_;
+  }
+
+  std::size_t mask_;
+  std::vector<std::pair<std::uint32_t, int>> slots_;
+};
+
 /// Splits `cells` into two area-balanced halves ordered by a BFS over the
 /// connectivity (cheap locality above the FM threshold).
 std::pair<std::vector<CellId>, std::vector<CellId>> connectivity_split(
     const Netlist& netlist, const std::vector<std::int64_t>& weights,
     const std::vector<CellId>& cells) {
-  std::vector<std::uint8_t> in_set(netlist.num_cells(), 0);
-  std::vector<int> index_of(netlist.num_cells(), -1);
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    in_set[cells[i].value()] = 1;
-    index_of[cells[i].value()] = static_cast<int>(i);
-  }
+  const LocalIndex index_of(cells);
   std::vector<std::uint8_t> visited(cells.size(), 0);
   std::vector<CellId> order;
   order.reserve(cells.size());
-  for (const CellId seed : cells) {
-    if (visited[static_cast<std::size_t>(index_of[seed.value()])]) continue;
-    std::vector<CellId> queue{seed};
-    visited[static_cast<std::size_t>(index_of[seed.value()])] = 1;
+  std::vector<CellId> queue;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (visited[i]) continue;
+    queue.assign(1, cells[i]);
+    visited[i] = 1;
     for (std::size_t head = 0; head < queue.size(); ++head) {
       const CellId u = queue[head];
       order.push_back(u);
@@ -58,8 +90,9 @@ std::pair<std::vector<CellId>, std::vector<CellId>> connectivity_split(
         const Net& n = netlist.net(net);
         if (n.fanouts.size() > 16) return;  // skip high-fanout nets
         auto visit_cell = [&](CellId c) {
-          if (!c.valid() || !in_set[c.value()]) return;
-          auto& v = visited[static_cast<std::size_t>(index_of[c.value()])];
+          const int local = index_of.find(c);
+          if (local < 0) return;
+          auto& v = visited[static_cast<std::size_t>(local)];
           if (!v) {
             v = 1;
             queue.push_back(c);
@@ -89,32 +122,40 @@ std::pair<std::vector<CellId>, std::vector<CellId>> connectivity_split(
   return halves;
 }
 
+/// FM bipartition of a region. Its hyperedges are the live nets on its own
+/// cells' pins with >= 2 distinct region cells, in ascending net id, each
+/// listing its cells by ascending region index.
 std::pair<std::vector<CellId>, std::vector<CellId>> fm_split(
     const Netlist& netlist, const std::vector<std::int64_t>& weights,
     const std::vector<CellId>& cells, std::uint64_t seed) {
-  std::vector<int> index_of(netlist.num_cells(), -1);
   std::vector<std::int64_t> local_weights(cells.size());
+  // (net id, region index) per pin. Sorted and deduplicated, each net's
+  // region cells are contiguous and in ascending index.
+  std::vector<std::uint64_t> pins;
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    index_of[cells[i].value()] = static_cast<int>(i);
     local_weights[i] = weights[cells[i].value()];
-  }
-  // Hyperedges: nets with >= 2 pins inside the partition.
-  std::vector<std::vector<int>> hyperedges;
-  for (std::uint32_t n = 0; n < netlist.num_nets(); ++n) {
-    const Net& net = netlist.net(NetId{n});
-    if (!net.alive) continue;
-    std::vector<int> members;
-    auto add = [&](CellId c) {
-      if (c.valid() && index_of[c.value()] >= 0) {
-        members.push_back(index_of[c.value()]);
+    const Cell& cell = netlist.cell(cells[i]);
+    auto add = [&](NetId net) {
+      if (net.valid() && netlist.net(net).alive) {
+        pins.push_back(std::uint64_t{net.value()} << 32 | i);
       }
     };
-    add(net.driver);
-    for (const PinRef& ref : net.fanouts) add(ref.cell);
-    std::sort(members.begin(), members.end());
-    members.erase(std::unique(members.begin(), members.end()),
-                  members.end());
-    if (members.size() >= 2) hyperedges.push_back(std::move(members));
+    for (const NetId in : cell.ins) add(in);
+    add(cell.out);
+  }
+  std::sort(pins.begin(), pins.end());
+  pins.erase(std::unique(pins.begin(), pins.end()), pins.end());
+  std::vector<std::vector<int>> hyperedges;
+  for (std::size_t a = 0; a < pins.size();) {
+    std::size_t b = a;
+    while (b < pins.size() && pins[b] >> 32 == pins[a] >> 32) ++b;
+    if (b - a >= 2) {
+      std::vector<int>& members = hyperedges.emplace_back();
+      for (std::size_t p = a; p < b; ++p) {
+        members.push_back(static_cast<int>(pins[p] & 0xffffffffU));
+      }
+    }
+    a = b;
   }
   FmOptions options;
   options.seed = seed;

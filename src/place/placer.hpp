@@ -6,6 +6,18 @@
 // size threshold, connectivity-ordered splitting above it) and halving the
 // region along its longer side. The result feeds the wireload model (net
 // capacitance from half-perimeter wirelength) and clock-tree synthesis.
+//
+// Cost: every region is split in time linear in its own cells' pins (plus
+// a sort of them for FM regions) — its hyperedges are the nets on those
+// pins, and its only scratch is sized to the region — so a placement costs
+// O(pins * depth) overall. FM regions see each pass at O(pins) plus bucket
+// bitset reads (src/place/fm.hpp).
+//
+// Determinism contract: a region's FM hyperedges are its nets in ascending
+// net id, each listing its region cells in ascending region index, and FM
+// breaks gain ties by lowest index (fm.hpp). Together with path-derived
+// seeds this fixes the placement bit for bit, independent of thread count
+// and of how the hyperedges are gathered.
 #pragma once
 
 #include <vector>

@@ -44,6 +44,7 @@ void WideSimulator::reset() {
   trigger_.assign(netlist_.num_cells(), 0);
   stats_.net_toggles.assign(netlist_.num_nets(), 0);
   stats_.cycles = 0;
+  vcd_cycle_ = 0;
   po_snapshot_.assign(netlist_.outputs().size(), 0);
   tick_now_.clear();
   tick_next_.clear();
@@ -122,10 +123,10 @@ void WideSimulator::step(std::span<const std::uint64_t> pi_words) {
   const int snapshot_event = std::min(
       options_.snapshot_event, static_cast<int>(event_times_.size()) - 1);
   int event_index = 0;
-  // VCD time restarts with the statistics (clear_stats() at warmup).
+  // VCD time counts cycles since reset(); clear_stats() at the warmup
+  // boundary leaves it alone, so '#' times never go backwards.
   const std::int64_t cycle_base =
-      static_cast<std::int64_t>(stats_.cycles / lanes_ - 1) *
-      netlist_.clocks().period_ps;
+      static_cast<std::int64_t>(vcd_cycle_++) * netlist_.clocks().period_ps;
   for (const std::int64_t t : event_times_) {
     evals_this_event_ = 0;
     if (vcd_ != nullptr) *vcd_ << '#' << cycle_base + t << "\n";

@@ -151,6 +151,7 @@ class WideSimulator {
   std::uint64_t evals_this_event_ = 0;
 
   std::ostream* vcd_ = nullptr;  // lane-0 VCD sink; null when disabled
+  std::uint64_t vcd_cycle_ = 0;  // steps since reset(): the VCD clock
 };
 
 }  // namespace tp

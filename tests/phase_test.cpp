@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <iterator>
+
 #include "src/phase/assignment.hpp"
 #include "src/phase/ilp_formulation.hpp"
+#include "src/util/hash.hpp"
 #include "src/util/log.hpp"
 #include "src/util/rng.hpp"
 
@@ -162,6 +165,76 @@ TEST_P(RandomPhaseTest, AllSolversMatchBruteForce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPhaseTest, ::testing::Range(0, 80));
+
+/// Random register graph for the search-budget regression: sparse FF
+/// edges plus PIs that couple many nodes, the shape (like s5378's) on
+/// which branch and bound exhausts its step budget.
+RegisterGraph budget_graph(std::uint64_t seed) {
+  Rng rng(seed);
+  const int n = static_cast<int>(rng.range(30, 200));
+  std::vector<std::pair<int, int>> edges;
+  for (int u = 0; u < n; ++u) {
+    const auto fanout = rng.range(0, 2);
+    for (std::int64_t k = 0; k < fanout; ++k) {
+      edges.push_back(
+          {u, static_cast<int>(rng.below(static_cast<std::uint64_t>(n)))});
+    }
+  }
+  std::vector<std::vector<int>> pi_fanout(
+      static_cast<std::size_t>(rng.range(4, 40)));
+  for (auto& fanout : pi_fanout) {
+    const auto size = rng.range(1, 8);
+    for (std::int64_t k = 0; k < size; ++k) {
+      fanout.push_back(
+          static_cast<int>(rng.below(static_cast<std::uint64_t>(n))));
+    }
+  }
+  return make_graph(n, std::move(edges), std::move(pi_fanout));
+}
+
+TEST(PhaseAssignment, SearchBudgetResultsMatchRecorded) {
+  // Hashes of (K, G, PI G, optimal) for budget_graph(1..24), recorded from
+  // the branch and bound without subtree memoization. Most searches run
+  // out of their step budget, so the kept assignment is whatever the
+  // search held at that exact step: any drift in step accounting shows.
+  static const std::uint64_t kRecorded[] = {
+      0x8c8bb840595947cfULL,  // seed 1: n 58, budget exhausted
+      0x3079a829de2cfc26ULL,  // seed 2: n 43, optimal
+      0xd3f2ba2997b2a4ecULL,  // seed 3: n 167, budget exhausted
+      0xf0a2faad67ece14eULL,  // seed 4: n 142, budget exhausted
+      0x5b6d67ac87eed669ULL,  // seed 5: n 94, optimal
+      0x0f58f9ab58cb8f99ULL,  // seed 6: n 182, budget exhausted
+      0x267fbdf62a0bd8e9ULL,  // seed 7: n 160, optimal
+      0xafbbb7d52363f9edULL,  // seed 8: n 198, budget exhausted
+      0x84801f6633b8b4b4ULL,  // seed 9: n 73, budget exhausted
+      0x1b28d290e882a866ULL,  // seed 10: n 56, optimal
+      0x6917206b061a128dULL,  // seed 11: n 94, optimal
+      0x0dfff8e5e76dad49ULL,  // seed 12: n 71, optimal
+      0x8f811299474dd5daULL,  // seed 13: n 116, budget exhausted
+      0xa7452285f1da9402ULL,  // seed 14: n 116, budget exhausted
+      0xe50a0fa40505d6c9ULL,  // seed 15: n 190, budget exhausted
+      0x1e640ef56471f981ULL,  // seed 16: n 193, budget exhausted
+      0xc5ff045c7ebcb744ULL,  // seed 17: n 176, budget exhausted
+      0x91d209c0deab3f64ULL,  // seed 18: n 56, budget exhausted
+      0xbc852bb0ad753e15ULL,  // seed 19: n 142, budget exhausted
+      0xcd741e6259477014ULL,  // seed 20: n 48, optimal
+      0x31bb127a9f665365ULL,  // seed 21: n 64, optimal
+      0x2b2bee33b39de4a1ULL,  // seed 22: n 102, optimal
+      0x97982cb381a80339ULL,  // seed 23: n 67, budget exhausted
+      0xee738392d3f42d0bULL,  // seed 24: n 113, budget exhausted
+  };
+  for (std::uint64_t seed = 1; seed <= std::size(kRecorded); ++seed) {
+    const PhaseAssignment a = assign_phases(budget_graph(seed));
+    std::uint64_t hash = util::kFnvOffset;
+    for (const auto bits : {&a.k, &a.g, &a.pi_g}) {
+      for (const std::uint8_t bit : *bits) {
+        hash = util::hash_combine(hash, bit);
+      }
+    }
+    hash = util::hash_combine(hash, a.optimal);
+    EXPECT_EQ(hash, kRecorded[seed - 1]) << "seed " << seed;
+  }
+}
 
 TEST(PhaseAssignment, LargeLayeredGraphSolvesQuickly) {
   // AES-like layered pipeline: 12 layers of 64 FFs, dense layer-to-layer

@@ -321,6 +321,32 @@ TEST(WideSimulator, VcdLaneZeroMatchesOneLaneRun) {
   }
 }
 
+TEST(WideSimulator, VcdTimeKeepsRunningAcrossWarmup) {
+  // run_wide_stream clears the statistics at the warmup boundary; the VCD
+  // clock must not restart with them.
+  const circuits::Benchmark bench = circuits::make_benchmark("s1196");
+  const std::vector<Stimulus> lanes =
+      make_lanes(1, bench.netlist.data_inputs().size(), /*cycles=*/12,
+                 /*seed=*/55);
+  WideSimulator sim(bench.netlist, 1);
+  std::ostringstream vcd;
+  sim.start_vcd(vcd);
+  run_wide_stream(sim, pack_stimulus(lanes), /*warmup=*/4);
+  std::istringstream in(vcd.str());
+  std::int64_t last = -1;
+  int stamps = 0;
+  for (std::string line; std::getline(in, line);) {
+    if (!line.starts_with('#')) continue;
+    const std::int64_t t = std::stoll(line.substr(1));
+    EXPECT_GE(t, last) << "VCD time went backwards at stamp " << stamps;
+    last = t;
+    ++stamps;
+  }
+  EXPECT_GT(stamps, 12);
+  // The last cycle (index 11) starts at 11 periods.
+  EXPECT_GE(last, 11 * bench.netlist.clocks().period_ps);
+}
+
 TEST(WideSimulator, PackStimulusValidatesShape) {
   std::vector<Stimulus> lanes(2);
   lanes[0] = {{1, 0}, {0, 1}};
