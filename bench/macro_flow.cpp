@@ -29,22 +29,17 @@
 // to stay within 2x that at the smallest (both variants summed; also
 // waived by --no-gate).
 //
-// A final flow section runs run_flow (3-phase style) on a small macro once
-// serially and once on --threads workers, asserting bit-identical results
-// (registers, area, output stream, timing report) — the determinism gate
-// for the intra-flow parallel CTS/retime/placer paths — and records the
-// per-stage wall clock plus the full/incremental STA split.
+// A final flow section runs run_flow (3-phase style) on a small macro and
+// records the per-stage wall clock plus the full/incremental STA split.
 //
 //   $ ./bench/macro_flow [--sizes 2000,20000,100000] [--edits N]
 //                        [--gate-ffs N] [--gate-ratio X] [--no-gate]
-//                        [--flow-ffs N] [--cycles N] [--threads N]
-//                        [--out FILE]
+//                        [--flow-ffs N] [--cycles N] [--out FILE]
 //
 // Exit status: 0 when every identity holds and the gate passes, 1 otherwise.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -52,10 +47,8 @@
 #include "src/circuits/benchmark.hpp"
 #include "src/circuits/workload.hpp"
 #include "src/flow/flow.hpp"
-#include "src/flow/matrix.hpp"
 #include "src/timing/incremental.hpp"
 #include "src/util/argparse.hpp"
-#include "src/util/executor.hpp"
 #include "src/util/json.hpp"
 #include "src/util/log.hpp"
 #include "src/util/rng.hpp"
@@ -64,12 +57,6 @@
 using namespace tp;
 
 namespace {
-
-std::uint64_t bits(double value) {
-  std::uint64_t out;
-  std::memcpy(&out, &value, sizeof(out));
-  return out;
-}
 
 /// The pre-incremental min-period search: a fresh full STA per probe (what
 /// the old min_period_ps did), replicated here as the baseline leg.
@@ -312,14 +299,11 @@ CellRecord run_cell(int ffs, bool three_phase, int edits) {
 
 struct FlowRecord {
   int ffs = 0;
-  std::size_t threads = 0;
-  bool identical = false;
-  double serial_s = 0, parallel_s = 0;
-  flow::StepTimes times;  // serial pass (contention-free stopwatches)
+  double seconds = 0;
+  flow::StepTimes times;
 };
 
-FlowRecord run_flow_section(int ffs, std::size_t cycles,
-                            std::size_t threads, int* failures) {
+FlowRecord run_flow_section(int ffs, std::size_t cycles) {
   circuits::MacroSpec spec;
   spec.flip_flops = ffs;
   circuits::Benchmark bench{.name = cat("macro", ffs),
@@ -332,41 +316,14 @@ FlowRecord run_flow_section(int ffs, std::size_t cycles,
 
   FlowRecord rec;
   rec.ffs = ffs;
-  rec.threads = threads;
-
   flow::FlowOptions options;  // paper defaults: retime + hold repair on
   Stopwatch watch;
-  const flow::FlowResult serial =
-      run_flow(bench, flow::DesignStyle::kThreePhase, stimulus, options);
-  rec.serial_s = watch.seconds();
-  rec.times = serial.times;
-
-  util::Executor executor(threads);
-  options.executor = &executor;
-  watch.reset();
-  const flow::FlowResult parallel =
-      run_flow(bench, flow::DesignStyle::kThreePhase, stimulus, options);
-  rec.parallel_s = watch.seconds();
-
-  rec.identical =
-      serial.registers == parallel.registers &&
-      bits(serial.area_um2) == bits(parallel.area_um2) &&
-      flow::stream_hash(serial.outputs) ==
-          flow::stream_hash(parallel.outputs) &&
-      timing_identity(serial.timing) == timing_identity(parallel.timing);
-  if (!rec.identical) {
-    ++*failures;
-    std::fprintf(stderr,
-                 "FAIL flow: serial and %zu-thread runs diverge on "
-                 "macro%d/3-phase\n",
-                 threads, ffs);
-  }
+  rec.times =
+      run_flow(bench, flow::DesignStyle::kThreePhase, stimulus, options).times;
+  rec.seconds = watch.seconds();
   std::printf(
-      "flow macro%-7d serial %6.2fs, %zu-thread %6.2fs  %s  (sta full "
-      "%.3fs + incremental %.3fs)\n",
-      ffs, rec.serial_s, threads, rec.parallel_s,
-      rec.identical ? "bit-identical" : "DIVERGED", rec.times.sta_full_s,
-      rec.times.sta_incremental_s);
+      "flow macro%-7d %6.2fs  (sta full %.3fs + incremental %.3fs)\n", ffs,
+      rec.seconds, rec.times.sta_full_s, rec.times.sta_incremental_s);
   std::fflush(stdout);
   return rec;
 }
@@ -381,7 +338,7 @@ int main(int argc, char** argv) {
   double gate_ratio = 5.0;
   bool no_gate = false;
   int flow_ffs = 2000;
-  std::size_t cycles = 64, threads = 0;
+  std::size_t cycles = 64;
 
   util::ArgParser parser(
       "macro_flow",
@@ -402,17 +359,12 @@ int main(int argc, char** argv) {
                   "record speedups without failing the gate (CI small "
                   "sizes, TSan)");
   parser.add_value("--flow-ffs", &flow_ffs,
-                   "macro size for the 1-vs-N-thread flow determinism "
-                   "section (default 2000)");
+                   "macro size for the flow section (default 2000)");
   parser.add_value("--cycles", &cycles,
                    "simulated cycles in the flow section (default 64)");
-  parser.add_value("--threads", &threads,
-                   "worker threads for the parallel flow pass (default "
-                   "TP_THREADS or hardware)");
   parser.add_value("--out", &out_file,
                    "JSON output path (default BENCH_macro.json)", "FILE");
   parser.parse_or_exit(argc, argv);
-  if (threads == 0) threads = util::Executor::default_thread_count();
 
   std::vector<int> sizes;
   for (std::size_t pos = 0; pos < sizes_arg.size();) {
@@ -499,8 +451,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  const FlowRecord flow_rec =
-      run_flow_section(flow_ffs, cycles, threads, &failures);
+  const FlowRecord flow_rec = run_flow_section(flow_ffs, cycles);
 
   std::ofstream out(out_file);
   if (!out.good()) {
@@ -546,10 +497,7 @@ int main(int argc, char** argv) {
   w.key("place_growth").value(place_growth);
   w.key("flow").begin_object();
   w.key("ffs").value(flow_rec.ffs);
-  w.key("threads").value(static_cast<std::uint64_t>(flow_rec.threads));
-  w.key("identical").value(flow_rec.identical);
-  w.key("serial_s").value(flow_rec.serial_s);
-  w.key("parallel_s").value(flow_rec.parallel_s);
+  w.key("seconds").value(flow_rec.seconds);
   w.key("synthesis_s").value(flow_rec.times.synthesis_s);
   w.key("ilp_s").value(flow_rec.times.ilp_s);
   w.key("convert_s").value(flow_rec.times.convert_s);

@@ -9,6 +9,12 @@
 // and fails the build on any serial/parallel divergence; the JSON is
 // uploaded as an artifact to track the perf trajectory over time.
 //
+// It also gates the stopwatch identity of the parallel pass: every task
+// runs whole on one thread, so the tasks' seconds sum to at most
+// (workers + the calling thread, which helps) x wall. A ratio above
+// kMaxStopwatchRatio means some thread's stopwatch counted another
+// thread's work, i.e. a join nested inside a stage.
+//
 // With --lanes N >= 2 every task simulates N stimulus lanes bit-parallel
 // (RunPlan::lanes) in one WideSimulator pass; the serial and parallel
 // passes must still match bit-for-bit.
@@ -16,7 +22,8 @@
 //   $ ./bench/matrix_throughput [--cycles N] [--threads N] [--lanes N]
 //                               [--out FILE]
 //
-// Exit status: 0 when every pass is bit-identical, 1 otherwise.
+// Exit status: 0 when every pass is bit-identical and the stopwatch identity
+// holds, 1 otherwise.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -32,6 +39,8 @@ using namespace tp;
 using namespace tp::flow;
 
 namespace {
+
+constexpr double kMaxStopwatchRatio = 1.05;
 
 std::uint64_t bits(double value) {
   std::uint64_t out;
@@ -143,6 +152,15 @@ int main(int argc, char** argv) {
   const double speedup = parallel_s > 0 ? serial_s / parallel_s : 0.0;
   std::printf("  parallel  %7.2f s (%.2f tasks/s, %.2fx vs serial)\n",
               parallel_s, parallel.size() / parallel_s, speedup);
+  double sum_task_s = 0;
+  for (const MatrixResult& r : parallel) sum_task_s += r.seconds;
+  const double stopwatch_ratio =
+      parallel_s > 0
+          ? sum_task_s / (static_cast<double>(threads + 1) * parallel_s)
+          : 0.0;
+  std::printf("  tasks     %7.2f s summed = %.3f x wall x %zu threads "
+              "(workers + caller)\n",
+              sum_task_s, stopwatch_ratio, threads + 1);
 
   int divergent = 0;
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -178,6 +196,8 @@ int main(int argc, char** argv) {
   w.key("parallel_s").value(parallel_s);
   w.key("speedup").value(speedup);
   w.key("tasks_per_s").value(parallel.size() / parallel_s);
+  w.key("sum_task_s").value(sum_task_s);
+  w.key("stopwatch_ratio").value(stopwatch_ratio);
   w.key("identical").value(divergent == 0);
   w.key("stage_seconds").begin_object();
   w.key("synthesis").value(stages.synthesis);
@@ -199,6 +219,13 @@ int main(int argc, char** argv) {
   if (divergent > 0) {
     std::fprintf(stderr, "%d/%zu tasks diverged across thread counts\n",
                  divergent, serial.size());
+    return 1;
+  }
+  if (stopwatch_ratio > kMaxStopwatchRatio) {
+    std::fprintf(stderr,
+                 "task seconds sum to %.3f x wall x threads (allow %.2f): "
+                 "a stage joins work on other threads\n",
+                 stopwatch_ratio, kMaxStopwatchRatio);
     return 1;
   }
   std::printf("  identical %zu/%zu tasks bit-identical across thread "

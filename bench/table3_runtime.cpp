@@ -5,8 +5,9 @@
 // three trees are routed. Hold repair is accounted in its own column
 // (StepTimes::hold_s), separate from the STA signoff pass.
 //
-// The 5x3 grid runs through the flow-matrix engine; use --threads 1 for
-// per-step timings free of multi-core contention.
+// The 5x3 grid runs through the flow-matrix engine. Each flow runs whole on
+// one thread, so its per-step times count only its own work at any
+// --threads.
 //
 //   $ ./bench/table3_runtime [--cycles N] [--threads N]
 #include <cstdio>

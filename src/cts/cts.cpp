@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <future>
-
-#include "src/util/executor.hpp"
 
 namespace tp {
 namespace {
@@ -95,37 +92,12 @@ ClockTreeReport synthesize_clock_trees(const Netlist& netlist,
   report.wire_of_net.assign(netlist.num_nets(), 0);
   const double die = std::max(placement.width_um, 1.0);
 
-  // Nets needing a tree, in id order (nets without sinks need none).
-  std::vector<NetId> clock_nets;
+  // One tree per clock net with sinks, in net-id order.
   for (std::uint32_t n = 0; n < netlist.num_nets(); ++n) {
     const Net& net = netlist.net(NetId{n});
-    if (net.alive && net.is_clock && !net.fanouts.empty()) {
-      clock_nets.push_back(NetId{n});
-    }
-  }
-
-  // Each tree is a pure function of one net's sinks; build them into
-  // indexed slots (parallel tasks with a pool, one loop without) and fold
-  // the totals in net-id order, so the report is identical either way.
-  std::vector<ClockNetTree> trees(clock_nets.size());
-  const auto build = [&](std::size_t i) {
-    trees[i] = build_tree(netlist, placement, clock_nets[i], die,
-                          options.max_fanout);
-  };
-  if (options.executor != nullptr && clock_nets.size() > 1) {
-    std::vector<std::future<void>> futures;
-    futures.reserve(clock_nets.size());
-    for (std::size_t i = 0; i < clock_nets.size(); ++i) {
-      futures.push_back(options.executor->submit([&build, i] { build(i); }));
-    }
-    for (auto& future : futures) {
-      options.executor->wait(std::move(future));
-    }
-  } else {
-    for (std::size_t i = 0; i < clock_nets.size(); ++i) build(i);
-  }
-
-  for (const ClockNetTree& tree : trees) {
+    if (!net.alive || !net.is_clock || net.fanouts.empty()) continue;
+    const ClockNetTree tree =
+        build_tree(netlist, placement, NetId{n}, die, options.max_fanout);
     report.total_buffers += tree.buffers;
     report.total_wire_um += tree.wire_um;
     report.buffers_of_net[tree.net.value()] = tree.buffers;

@@ -14,24 +14,19 @@
 // clock-gating savings appear naturally.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "src/place/placer.hpp"
-
-namespace tp::util {
-class Executor;
-}  // namespace tp::util
 
 namespace tp {
 
 struct CtsOptions {
   int max_fanout = 20;
-  /// Build the per-clock-net trees as parallel pool tasks — one task per
-  /// clock net (a 3-phase design has at least three root trees, the
-  /// paper's ~3x CTS cost), results written to indexed slots and
-  /// aggregated in net-id order, so the report is bit-identical to the
-  /// serial build at any thread count. Not owned.
-  util::Executor* executor = nullptr;
+  /// Clock-tree synthesis always runs on the calling thread. This member
+  /// holds no pool: its type admits only nullptr, and it exists so callers
+  /// that clear it (`options.executor = nullptr`) still compile.
+  std::nullptr_t executor = nullptr;
 };
 
 struct ClockNetTree {

@@ -15,8 +15,7 @@ using check::RuleId;
 /// margins, then worst-case full-borrowing launch seeds.
 RetimeResult retime_with_closure(Netlist& netlist,
                                  const CellLibrary& library, Phase movable,
-                                 const TimingOptions& timing,
-                                 util::Executor* executor) {
+                                 const TimingOptions& timing) {
   struct Attempt {
     double margin;
     bool full_borrowing;
@@ -30,8 +29,7 @@ RetimeResult retime_with_closure(Netlist& netlist,
         netlist, library,
         {.movable_phase = movable,
          .margin_ps = attempt.margin,
-         .assume_full_borrowing = attempt.full_borrowing,
-         .executor = executor});
+         .assume_full_borrowing = attempt.full_borrowing});
     if (check_timing(netlist, library, timing).setup_ok) break;
   }
   return result;
@@ -107,9 +105,8 @@ class MasterSlaveBackend final : public ConversionBackend {
     ctx.checkpoint("convert");
     step.reset();
     if (ctx.options.retime && ctx.options.retime_master_slave) {
-      ctx.result.retime = retime_with_closure(
-          ctx.netlist, ctx.library, Phase::kClk, ctx.options.timing,
-          ctx.options.executor);
+      ctx.result.retime = retime_with_closure(ctx.netlist, ctx.library,
+                                              Phase::kClk, ctx.options.timing);
       ctx.result.times.retime_s = step.seconds();
       ctx.checkpoint("retime");
     }
@@ -173,7 +170,7 @@ class ThreePhaseBackend final : public ConversionBackend {
 
     if (options.retime) {
       result.retime = retime_with_closure(netlist, ctx.library, Phase::kP2,
-                                          options.timing, options.executor);
+                                          options.timing);
       result.times.retime_s = step.seconds();
       ctx.checkpoint("retime");
       step.reset();

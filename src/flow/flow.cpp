@@ -244,18 +244,12 @@ FlowResult run_flow(const circuits::Benchmark& benchmark, DesignStyle style,
   }
   step.reset();
 
-  // 4. Physical design: place, then one clock tree per phase. Both stages
-  // parallelize internally on the flow's pool (bit-identical to serial —
-  // their options document the contract).
-  PlaceOptions place_options = options.place;
-  place_options.executor = options.executor;
-  const Placement placement = place(netlist, library, place_options);
+  // 4. Physical design: place, then one clock tree per phase.
+  const Placement placement = place(netlist, library, options.place);
   result.times.place_s = step.seconds();
   step.reset();
-  CtsOptions cts_options = options.cts;
-  cts_options.executor = options.executor;
   const ClockTreeReport clock_tree =
-      synthesize_clock_trees(netlist, placement, cts_options);
+      synthesize_clock_trees(netlist, placement, options.cts);
   result.times.cts_s = step.seconds();
   step.reset();
 
@@ -274,8 +268,7 @@ FlowResult run_flow(const circuits::Benchmark& benchmark, DesignStyle style,
   result.netlist = std::move(netlist);
 
   // Join the fanned-out checkpoints (none without an executor). wait()
-  // helps — a worker running this flow as a matrix task executes pending
-  // checks itself instead of blocking the pool.
+  // helps: the caller runs pending checks itself while it waits.
   for (std::future<StageCheck>& future : equiv_futures) {
     record_check(options.executor->wait(std::move(future)));
   }

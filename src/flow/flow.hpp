@@ -121,7 +121,8 @@ struct FlowOptions {
   /// them; without it the same checks run at once on the live netlist.
   /// run_flow() joins them before returning, so FlowResult is bit-identical
   /// either way (the checks are pure functions of the stage output).
-  /// run_matrix() sets this automatically. Not owned.
+  /// For a single caller's flow only: matrix and serve waves clear it and
+  /// run each flow whole on one thread. Not owned.
   util::Executor* executor = nullptr;
 
   /// The configuration every paper table uses; identical to a

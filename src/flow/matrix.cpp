@@ -1,6 +1,8 @@
 #include "src/flow/matrix.hpp"
 
 #include <future>
+#include <mutex>
+#include <optional>
 #include <utility>
 
 #include "src/util/executor.hpp"
@@ -40,7 +42,57 @@ std::vector<MatrixTask> RunPlan::tasks() const {
   return tasks;
 }
 
-MatrixResult run_task(const RunPlan& plan, const MatrixTask& task) {
+namespace {
+
+// What one task simulates: its benchmark and one stimulus per lane.
+struct Design {
+  circuits::Benchmark bench;
+  std::vector<Stimulus> stimuli;
+};
+
+Design build_design(const RunPlan& plan, const MatrixTask& task) {
+  Design design{circuits::make_benchmark(task.benchmark), {}};
+  // The cycle budget is split across lanes (rounded up), each lane with its
+  // own derived seed; lane 0 of a 1-lane plan is exactly the old
+  // single-stimulus task.
+  const std::size_t per_lane = (plan.cycles + plan.lanes - 1) / plan.lanes;
+  design.stimuli.reserve(plan.lanes);
+  for (std::size_t l = 0; l < plan.lanes; ++l) {
+    design.stimuli.push_back(circuits::make_stimulus(
+        design.bench, plan.workload, per_lane, lane_seed(task.seed, l)));
+  }
+  return design;
+}
+
+// One benchmark's design within a wave: built by the first of its tasks to
+// start and shared read-only by the rest (run_flow() copies the netlist it
+// converts). A build error is kept and rethrown to every task of the
+// benchmark, so each one reports it as if it had built the design itself.
+class DesignSlot {
+ public:
+  const Design& get(const RunPlan& plan, const MatrixTask& task) {
+    std::call_once(built_, [&] {
+      try {
+        design_.emplace(build_design(plan, task));
+      } catch (...) {
+        error_ = std::current_exception();
+      }
+    });
+    if (error_) std::rethrow_exception(error_);
+    return *design_;
+  }
+
+ private:
+  std::once_flag built_;
+  std::optional<Design> design_;
+  std::exception_ptr error_;
+};
+
+// Runs `task` on the design in `slot`. Every failure after the lanes
+// precondition, the design's build included, is captured into
+// MatrixResult::error with task context.
+MatrixResult run_in_slot(const RunPlan& plan, const MatrixTask& task,
+                         DesignSlot& slot) {
   require(plan.lanes >= 1 && plan.lanes <= kMaxSimLanes,
           "run_task: RunPlan::lanes must be in [1, 64]");
   Stopwatch watch;
@@ -51,20 +103,9 @@ MatrixResult run_task(const RunPlan& plan, const MatrixTask& task) {
         plan.cancel->load(std::memory_order_relaxed)) {
       throw Error("canceled before start");
     }
-    const circuits::Benchmark bench =
-        circuits::make_benchmark(task.benchmark);
-    // The cycle budget is split across lanes (rounded up), each lane with
-    // its own derived seed; lane 0 of a 1-lane plan is exactly the old
-    // single-stimulus task.
-    const std::size_t per_lane =
-        (plan.cycles + plan.lanes - 1) / plan.lanes;
-    std::vector<Stimulus> stimuli;
-    stimuli.reserve(plan.lanes);
-    for (std::size_t l = 0; l < plan.lanes; ++l) {
-      stimuli.push_back(circuits::make_stimulus(
-          bench, plan.workload, per_lane, lane_seed(task.seed, l)));
-    }
-    out.result = run_flow(bench, task.style, stimuli, plan.options);
+    const Design& design = slot.get(plan, task);
+    out.result = run_flow(design.bench, task.style, design.stimuli,
+                          plan.options);
   } catch (const std::exception& e) {
     out.error = cat("task ", task.index, " (", task.benchmark, "/",
                     style_name(task.style), "): ", e.what());
@@ -73,72 +114,49 @@ MatrixResult run_task(const RunPlan& plan, const MatrixTask& task) {
   return out;
 }
 
-std::vector<MatrixResult> run_matrix(const RunPlan& plan,
-                                     util::Executor& executor) {
-  const std::vector<MatrixTask> tasks = plan.tasks();
-  // Each task gets the shared options plus the executor, so the opt-in
-  // per-stage SEC / lint checkpoints inside run_flow() overlap with the
-  // transforms instead of serializing behind them.
-  RunPlan parallel_plan = plan;
-  parallel_plan.options.executor = &executor;
-  std::vector<std::future<MatrixResult>> futures;
-  futures.reserve(tasks.size());
-  for (const MatrixTask& task : tasks) {
-    futures.push_back(executor.submit(
-        [&parallel_plan, task]() { return run_task(parallel_plan, task); }));
+// A plan prepared for a wave: its tasks, one design slot per benchmark, and
+// its options without an executor, so every flow runs whole on the thread
+// that picked it up.
+struct Wave {
+  explicit Wave(const RunPlan& source)
+      : plan(source),
+        tasks(plan.tasks()),
+        slots(plan.styles.empty() ? 0 : tasks.size() / plan.styles.size()) {
+    plan.options.executor = nullptr;
   }
-  std::vector<MatrixResult> results;
-  results.reserve(tasks.size());
-  // Flow failures are captured per-task inside run_task; only plan-level
-  // misuse (the lanes precondition) still surfaces as an exception. Join
-  // every future even then — queued lambdas reference parallel_plan, which
-  // must outlive them — and rethrow the first failure in plan order once
-  // all tasks have settled.
-  std::exception_ptr first_error;
-  for (std::future<MatrixResult>& future : futures) {
-    try {
-      // wait() helps: the main thread runs queued tasks too, so a
-      // 1-worker executor still overlaps with its caller.
-      results.push_back(executor.wait(std::move(future)));
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+
+  MatrixResult run(std::size_t i) {
+    return run_in_slot(plan, tasks[i], slots[i / plan.styles.size()]);
+  }
+
+  RunPlan plan;
+  std::vector<MatrixTask> tasks;
+  std::vector<DesignSlot> slots;
+};
+
+// Submits every task of every wave, then joins them in order. Flow failures
+// are captured per task; only plan-level misuse (the lanes precondition)
+// surfaces as an exception. Every future is joined even then — queued
+// tasks reference `waves` — and the first failure in plan order is
+// rethrown once all tasks have settled.
+std::vector<std::vector<MatrixResult>> run_waves(std::vector<Wave>& waves,
+                                                 util::Executor& executor) {
+  std::vector<std::vector<std::future<MatrixResult>>> futures(waves.size());
+  for (std::size_t w = 0; w < waves.size(); ++w) {
+    Wave& wave = waves[w];
+    for (std::size_t i = 0; i < wave.tasks.size(); ++i) {
+      futures[w].push_back(
+          executor.submit([&wave, i] { return wave.run(i); }));
     }
   }
-  if (first_error) std::rethrow_exception(first_error);
-  return results;
-}
-
-std::vector<MatrixResult> run_matrix(const RunPlan& plan) {
-  std::vector<MatrixResult> results;
-  const std::vector<MatrixTask> tasks = plan.tasks();
-  results.reserve(tasks.size());
-  for (const MatrixTask& task : tasks) {
-    results.push_back(run_task(plan, task));
-  }
-  return results;
-}
-
-std::vector<std::vector<MatrixResult>> run_matrices(
-    std::span<const RunPlan> plans, util::Executor& executor) {
-  // Plan copies with the executor attached; sized up front so the queued
-  // lambdas' references stay valid for the whole join.
-  std::vector<RunPlan> parallel_plans(plans.begin(), plans.end());
-  std::vector<std::vector<std::future<MatrixResult>>> futures(plans.size());
-  for (std::size_t p = 0; p < parallel_plans.size(); ++p) {
-    RunPlan& plan = parallel_plans[p];
-    plan.options.executor = &executor;
-    for (const MatrixTask& task : plan.tasks()) {
-      futures[p].push_back(executor.submit(
-          [&plan, task]() { return run_task(plan, task); }));
-    }
-  }
-  std::vector<std::vector<MatrixResult>> results(plans.size());
+  std::vector<std::vector<MatrixResult>> results(waves.size());
   std::exception_ptr first_error;
-  for (std::size_t p = 0; p < futures.size(); ++p) {
-    results[p].reserve(futures[p].size());
-    for (std::future<MatrixResult>& future : futures[p]) {
+  for (std::size_t w = 0; w < futures.size(); ++w) {
+    results[w].reserve(futures[w].size());
+    for (std::future<MatrixResult>& future : futures[w]) {
       try {
-        results[p].push_back(executor.wait(std::move(future)));
+        // wait() helps: the calling thread runs queued tasks too.
+        results[w].push_back(executor.wait(std::move(future)));
       } catch (...) {
         if (!first_error) first_error = std::current_exception();
       }
@@ -146,6 +164,38 @@ std::vector<std::vector<MatrixResult>> run_matrices(
   }
   if (first_error) std::rethrow_exception(first_error);
   return results;
+}
+
+}  // namespace
+
+MatrixResult run_task(const RunPlan& plan, const MatrixTask& task) {
+  DesignSlot own;  // a lone task shares its design with nobody
+  return run_in_slot(plan, task, own);
+}
+
+std::vector<MatrixResult> run_matrix(const RunPlan& plan,
+                                     util::Executor& executor) {
+  std::vector<Wave> waves;
+  waves.emplace_back(plan);
+  return std::move(run_waves(waves, executor).front());
+}
+
+std::vector<MatrixResult> run_matrix(const RunPlan& plan) {
+  Wave wave(plan);
+  std::vector<MatrixResult> results;
+  results.reserve(wave.tasks.size());
+  for (std::size_t i = 0; i < wave.tasks.size(); ++i) {
+    results.push_back(wave.run(i));
+  }
+  return results;
+}
+
+std::vector<std::vector<MatrixResult>> run_matrices(
+    std::span<const RunPlan> plans, util::Executor& executor) {
+  std::vector<Wave> waves;
+  waves.reserve(plans.size());  // queued tasks hold references into it
+  for (const RunPlan& plan : plans) waves.emplace_back(plan);
+  return run_waves(waves, executor);
 }
 
 std::uint64_t stream_hash(const OutputStream& stream) {

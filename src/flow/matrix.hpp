@@ -7,13 +7,23 @@
 // base stimulus seed — and run_matrix() executes every cell on a
 // work-stealing Executor (src/util/executor.hpp).
 //
+// A wave is flat: each cell's run_flow() runs whole on the thread that
+// picked it up, with no executor inside (run_matrix() clears
+// FlowOptions::executor, so opt-in checkpoints run inline). Each
+// benchmark's Benchmark and Stimulus are built once per wave, by the first
+// of its cells to start, and shared read-only by all of its styles;
+// run_flow() converts a copy. So MatrixResult::seconds is the time one
+// thread spent on one cell, and the cells' times add up to at most
+// threads x wall.
+//
 // Determinism contract: results are bit-identical regardless of thread
-// count or scheduling order. Each task derives its own stimulus seed with
-// task_seed() (a pure function of the base seed, benchmark name, and
-// style), builds its own Benchmark and Stimulus, and run_flow() itself
-// only uses locally-seeded RNGs — so a 16-thread run, a 1-thread run, and
-// the serial run_matrix(plan) overload produce identical FlowResults
-// (metrics, netlists, output streams). Only the wall-clock StepTimes vary.
+// count or scheduling order. Each task derives its stimulus seed with
+// task_seed() (a pure function of the base seed and benchmark name), the
+// shared design is a pure function of the benchmark and that seed, and
+// run_flow() itself only uses locally-seeded RNGs — so a 16-thread run, a
+// 1-thread run, and the serial run_matrix(plan) overload produce identical
+// FlowResults (metrics, netlists, output streams). Only the wall-clock
+// StepTimes vary.
 #pragma once
 
 #include <atomic>
@@ -90,7 +100,9 @@ struct RunPlan {
 struct MatrixResult {
   MatrixTask task;
   FlowResult result;
-  double seconds = 0;  // wall-clock of this task alone
+  /// Wall-clock of this task alone, on one thread; for the task that built
+  /// its benchmark's shared design, that build included.
+  double seconds = 0;
   /// Empty on success; otherwise the task's failure diagnostic, prefixed
   /// with the benchmark/style context. A failed task carries a
   /// default-constructed FlowResult — one poisoned cell degrades that cell
@@ -100,16 +112,17 @@ struct MatrixResult {
   [[nodiscard]] bool ok() const { return error.empty(); }
 };
 
-/// Runs one cell (exposed so serial reference loops share the exact code
-/// path of the parallel engine). Exceptions thrown inside the flow are
-/// captured into MatrixResult::error with task context; only plan-level
-/// misuse (an out-of-range lane count) still throws.
+/// Runs one cell on a design it builds itself (the serve daemon's path,
+/// and the code path every wave cell shares). Exceptions thrown while
+/// building or converting are captured into MatrixResult::error with task
+/// context; only plan-level misuse (an out-of-range lane count) still
+/// throws.
 MatrixResult run_task(const RunPlan& plan, const MatrixTask& task);
 
-/// Executes every task of `plan` on `executor` and returns results in
-/// plan order. Per-stage SEC / lint checkpoints inside each run_flow()
-/// fan out onto the same executor. A failing task is reported through its
-/// MatrixResult::error — the rest of the wave completes unaffected.
+/// Executes every task of `plan` on `executor`, one flow per task, and
+/// returns results in plan order. A failing task is reported through its
+/// MatrixResult::error — the rest of the wave completes unaffected; a
+/// benchmark that fails to build fails every one of its styles.
 std::vector<MatrixResult> run_matrix(const RunPlan& plan,
                                      util::Executor& executor);
 

@@ -4,11 +4,9 @@
 #include <bit>
 #include <cmath>
 #include <functional>
-#include <future>
 #include <numeric>
 
 #include "src/place/fm.hpp"
-#include "src/util/executor.hpp"
 
 namespace tp {
 namespace {
@@ -20,19 +18,13 @@ struct Region {
 
 /// splitmix64 finalizer: the FM seed of a region is a pure function of the
 /// placer seed and the region's root-to-here path (root 1, children 2p and
-/// 2p+1), NOT of visit order — the property that lets the two halves of a
-/// split recurse in parallel while producing the serial placement bit for
-/// bit.
+/// 2p+1), not of visit order.
 std::uint64_t region_seed(std::uint64_t seed, std::uint64_t path) {
   std::uint64_t z = seed + path * 0x9e3779b97f4a7c15ULL;
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
 }
-
-/// Both halves must clear this size before the recursion forks; smaller
-/// subtrees finish faster inline than a task round-trip.
-constexpr std::size_t kParallelRegionMin = 2048;
 
 /// Region-sized map from cell id to the cell's index in its region
 /// (open addressing, linear probing): the split helpers' only per-region
@@ -243,10 +235,7 @@ Placement place(const Netlist& netlist, const CellLibrary& library,
   placement.height_um = die;
   if (cells.empty()) return placement;
 
-  // Recursive bisection. The two halves of every split touch disjoint
-  // cells (they partition region.cells), so with a pool they recurse as
-  // parallel tasks; seeds are path-derived (see region_seed), making the
-  // result independent of execution order and thread count.
+  // Recursive bisection with path-derived FM seeds (see region_seed).
   const std::function<void(Region, std::uint64_t)> bisect =
       [&](Region region, std::uint64_t path) {
         if (static_cast<int>(region.cells.size()) <= options.leaf_size) {
@@ -281,19 +270,8 @@ Placement place(const Netlist& netlist, const CellLibrary& library,
         }
         a.cells = std::move(halves.first);
         b.cells = std::move(halves.second);
-        if (options.executor != nullptr &&
-            a.cells.size() >= kParallelRegionMin &&
-            b.cells.size() >= kParallelRegionMin) {
-          auto future = options.executor->submit(
-              [&bisect, half = std::move(a), path]() mutable {
-                bisect(std::move(half), 2 * path);
-              });
-          bisect(std::move(b), 2 * path + 1);
-          options.executor->wait(std::move(future));
-        } else {
-          bisect(std::move(a), 2 * path);
-          bisect(std::move(b), 2 * path + 1);
-        }
+        bisect(std::move(a), 2 * path);
+        bisect(std::move(b), 2 * path + 1);
       };
   bisect(Region{0, 0, die, die, std::move(cells)}, 1);
   return placement;

@@ -16,18 +16,15 @@
 // Determinism contract: a region's FM hyperedges are its nets in ascending
 // net id, each listing its region cells in ascending region index, and FM
 // breaks gain ties by lowest index (fm.hpp). Together with path-derived
-// seeds this fixes the placement bit for bit, independent of thread count
-// and of how the hyperedges are gathered.
+// seeds this fixes the placement bit for bit, independent of how the
+// hyperedges are gathered.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "src/library/cell_library.hpp"
 #include "src/netlist/netlist.hpp"
-
-namespace tp::util {
-class Executor;
-}  // namespace tp::util
 
 namespace tp {
 
@@ -38,13 +35,10 @@ struct PlaceOptions {
   int fm_threshold = 1500;
   int leaf_size = 8;
   std::uint64_t seed = 1;
-  /// Recurse into the two halves of each bipartition as parallel pool
-  /// tasks (position writes are disjoint — the halves partition the
-  /// cells). Each region's FM seed is derived from `seed` and the
-  /// region's root-to-here path in both the serial and parallel code
-  /// paths, so the placement is bit-identical at any thread count. Not
-  /// owned.
-  util::Executor* executor = nullptr;
+  /// Placement always runs on the calling thread. This member holds no
+  /// pool: its type admits only nullptr, and it exists so callers that
+  /// clear it (`options.executor = nullptr`) still compile.
+  std::nullptr_t executor = nullptr;
 };
 
 struct Placement {

@@ -1,12 +1,10 @@
 #include "src/retime/retime.hpp"
 
 #include <algorithm>
-#include <future>
 #include <unordered_map>
 
 #include "src/netlist/traverse.hpp"
 #include "src/retime/maxflow.hpp"
-#include "src/util/executor.hpp"
 #include "src/util/strcat.hpp"
 
 namespace tp {
@@ -19,6 +17,25 @@ std::uint32_t combine_gates(std::uint32_t a, std::uint32_t b) {
   if (a == kNoGate) return b;
   if (b == kNoGate) return a;
   return a == b ? a : kMixedGate;
+}
+
+// Marks `seeds` and every net reachable from them forward through data
+// combinational cells.
+void mark_forward(const Netlist& netlist, std::vector<NetId> seeds,
+                  std::vector<std::uint8_t>& mark) {
+  for (const NetId net : seeds) mark[net.value()] = 1;
+  while (!seeds.empty()) {
+    const NetId net = seeds.back();
+    seeds.pop_back();
+    for (const PinRef& ref : netlist.net(net).fanouts) {
+      const Cell& sink = netlist.cell(ref.cell);
+      if (is_combinational(sink.kind) && !is_clock_cell(sink.kind) &&
+          sink.out.valid() && !mark[sink.out.value()]) {
+        mark[sink.out.value()] = 1;
+        seeds.push_back(sink.out);
+      }
+    }
+  }
 }
 
 }  // namespace
@@ -65,61 +82,26 @@ RetimeResult retime_inserted_latches(Netlist& netlist,
   //    data combinational cells. Sinks are consumer pins on registers,
   //    primary outputs, and clock cells (ICG enables).
   std::vector<std::uint8_t> in_region(netlist.num_nets(), 0);
-  const auto sweep_region = [&] {
-    std::vector<NetId> stack;
+  {
+    std::vector<NetId> sources;
     for (const auto& [net, gate] : source_gate) {
       (void)gate;
-      in_region[net] = 1;
-      stack.push_back(NetId{net});
+      sources.push_back(NetId{net});
     }
-    while (!stack.empty()) {
-      const NetId net = stack.back();
-      stack.pop_back();
-      for (const PinRef& ref : netlist.net(net).fanouts) {
-        const Cell& sink = netlist.cell(ref.cell);
-        if (is_combinational(sink.kind) && !is_clock_cell(sink.kind) &&
-            sink.out.valid() && !in_region[sink.out.value()]) {
-          in_region[sink.out.value()] = 1;
-          stack.push_back(sink.out);
-        }
-      }
-    }
-  };
+    mark_forward(netlist, std::move(sources), in_region);
+  }
 
   // PI taint: a gated latch holds its output while disabled, so moving it
   // past a merge with a primary-input signal would freeze a value the
   // original design recomputes every cycle. Nets with PI contributions are
   // only legal for latches clocked straight from a phase root.
   std::vector<std::uint8_t> pi_taint(netlist.num_nets(), 0);
-  const auto sweep_taint = [&] {
-    std::vector<NetId> stack;
+  {
+    std::vector<NetId> inputs;
     for (const CellId pi : netlist.data_inputs()) {
-      const NetId q = netlist.cell(pi).out;
-      pi_taint[q.value()] = 1;
-      stack.push_back(q);
+      inputs.push_back(netlist.cell(pi).out);
     }
-    while (!stack.empty()) {
-      const NetId net = stack.back();
-      stack.pop_back();
-      for (const PinRef& ref : netlist.net(net).fanouts) {
-        const Cell& sink = netlist.cell(ref.cell);
-        if (is_combinational(sink.kind) && !is_clock_cell(sink.kind) &&
-            sink.out.valid() && !pi_taint[sink.out.value()]) {
-          pi_taint[sink.out.value()] = 1;
-          stack.push_back(sink.out);
-        }
-      }
-    }
-  };
-  // The two sweeps read the same frozen netlist and write disjoint arrays,
-  // so they run as a concurrent pair when a pool is available.
-  if (options.executor != nullptr) {
-    auto future = options.executor->submit(sweep_region);
-    sweep_taint();
-    options.executor->wait(std::move(future));
-  } else {
-    sweep_region();
-    sweep_taint();
+    mark_forward(netlist, std::move(inputs), pi_taint);
   }
   std::vector<std::uint8_t> always_on(netlist.num_nets(), 0);
   for (const PhaseWaveform& w : netlist.clocks().phases) {
@@ -271,35 +253,20 @@ RetimeResult retime_inserted_latches(Netlist& netlist,
     seed_tail(NetId{net});
   }
 
-  // Candidate evaluation: each region net is an independent latch-position
-  // "move", a pure function of the settled labels above — so the legality
-  // checks run as chunked pool tasks into disjoint slots (identical to the
-  // serial loop at any thread count).
-  std::vector<NetId> region_nets;
-  for (std::uint32_t n = 0; n < netlist.num_nets(); ++n) {
-    if (in_region[n]) region_nets.push_back(NetId{n});
-  }
+  // Candidate evaluation: each region net is a latch position, legal when
+  // its gate and PI labels allow a latch there and both Tc/2 halves fit.
   std::vector<std::uint8_t> position_legal(netlist.num_nets(), 0);
-  util::parallel_chunks(
-      options.executor, region_nets.size(), 2048,
-      [&](std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const NetId net = region_nets[i];
-          const std::uint32_t gate = gate_label[net.value()];
-          if (gate == kMixedGate) continue;
-          if (pi_taint[net.value()] &&
-              !(gate != kNoGate && always_on[gate])) {
-            continue;
-          }
-          const double d2q =
-              library.delay_ps(CellKind::kLatchH,
-                               library.net_load_ff(netlist, net));
-          position_legal[net.value()] = static_cast<std::uint8_t>(
-              delay_legal[net.value()] &&
-              open_m + d2q + tail[net.value()] <=
-                  period - options.margin_ps);
-        }
-      });
+  for (std::uint32_t n = 0; n < netlist.num_nets(); ++n) {
+    if (!in_region[n]) continue;
+    const std::uint32_t gate = gate_label[n];
+    if (gate == kMixedGate) continue;
+    if (pi_taint[n] && !(gate != kNoGate && always_on[gate])) continue;
+    const double d2q = library.delay_ps(
+        CellKind::kLatchH, library.net_load_ff(netlist, NetId{n}));
+    position_legal[n] = static_cast<std::uint8_t>(
+        delay_legal[n] &&
+        open_m + d2q + tail[n] <= period - options.margin_ps);
+  }
   auto legal = [&](NetId net) { return position_legal[net.value()] != 0; };
 
   // 4. Flow network: node-split region nets (split arc = latch position),

@@ -26,10 +26,6 @@
 #include "src/library/cell_library.hpp"
 #include "src/netlist/netlist.hpp"
 
-namespace tp::util {
-class Executor;
-}  // namespace tp::util
-
 namespace tp {
 
 struct RetimeOptions {
@@ -45,14 +41,6 @@ struct RetimeOptions {
   /// More conservative cuts, used as a timing-closure fallback.
   bool assume_full_borrowing = false;
   bool enabled = true;
-  /// Parallelize the independent pieces of candidate evaluation: the two
-  /// reachability sweeps (retiming region, PI taint) run as a concurrent
-  /// pair, and the per-net legality of every candidate latch position is
-  /// evaluated in chunked pool tasks (each candidate is a pure function of
-  /// the settled labels, written to its own slot). The cut itself and the
-  /// label fixpoints stay serial, so the result is bit-identical to the
-  /// serial run at any thread count. Not owned.
-  util::Executor* executor = nullptr;
 };
 
 struct RetimeResult {

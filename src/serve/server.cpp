@@ -171,7 +171,6 @@ std::vector<Outcome> Server::run_wave(const std::vector<std::string>& lines) {
       plan->cycles = req.spec.cycles;
       plan->stimulus_seed = req.spec.seed;
       plan->lanes = req.spec.lanes;
-      plan->options.executor = &executor_;
       plan->cancel = options_.stop;
       cell.plan = plan;
       cell.task = plan->tasks().front();

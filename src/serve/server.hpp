@@ -9,10 +9,11 @@
 //    workload, cycles, seed, lanes), serves hits from the ResultCache,
 //    deduplicates identical misses within the wave, runs the remaining
 //    cells as one wave of single-cell RunPlans on the shared
-//    util::Executor (flow::run_task — the exact code path of the batch
-//    engine, so a served result is bit-identical to a matrix run), stores
-//    fresh payloads back, and returns one Outcome per request with
-//    per-request latency. The throughput bench drives this directly.
+//    util::Executor, each flow whole on one thread (flow::run_task — the
+//    exact code path of the batch engine, so a served result is
+//    bit-identical to a matrix run), stores fresh payloads back, and
+//    returns one Outcome per request with per-request latency. The
+//    throughput bench drives this directly.
 //
 //  - serve(): the transport loop. poll()s a Unix socket, a loopback TCP
 //    socket, and/or a job-file drop directory; complete lines from any

@@ -1,20 +1,20 @@
 // Work-stealing thread pool for the parallel flow engine.
 //
-// The conversion flow is embarrassingly parallel across benchmark x style
-// tasks (src/flow/matrix.hpp) and across the opt-in per-stage SEC / lint
-// checkpoints inside one flow — every task is a pure function of its
-// inputs. The Executor runs such tasks on a fixed set of worker threads
-// with per-worker deques and LIFO-local / FIFO-steal scheduling:
-// submissions from a worker go to its own deque front (keeping the hot
-// netlist snapshot in cache), idle workers steal from the back of their
-// peers' deques.
+// Parallelism runs across flows, never inside a stage: a matrix wave
+// (src/flow/matrix.hpp) or a serve wave submits one task per
+// benchmark x style cell and each task runs its whole run_flow() on the
+// thread that picked it up. The only other tasks are a single caller's
+// opt-in per-stage SEC / lint checkpoints (FlowOptions::executor). Every
+// task is a pure function of its inputs. The Executor runs them on a fixed
+// set of worker threads with per-worker deques and LIFO-local / FIFO-steal
+// scheduling: submissions from a worker go to its own deque front, idle
+// workers steal from the back of their peers' deques.
 //
-// Deadlock-free nesting: a task may submit further tasks and join them
-// with Executor::wait(), which *helps* — it runs pending tasks on the
-// calling thread while the future is not ready — so a worker blocked on a
-// subtask's future makes progress instead of starving the pool. The same
-// helping loop lets the main thread participate, so an Executor with one
-// worker still overlaps with its caller.
+// Joins help: Executor::wait() runs pending tasks on the calling thread
+// while the future is not ready, so the thread that submitted a wave
+// works through it alongside the workers (an Executor with one worker
+// still overlaps with its caller), and a task that joins a subtask cannot
+// starve the pool.
 //
 // Exceptions thrown by a task are captured in its future (via
 // std::packaged_task) and rethrown at the join point.
@@ -89,25 +89,6 @@ class Executor {
     return future.get();
   }
 
-  /// Runs `fn(begin, end)` over [0, n) in `grain`-sized chunks as pool
-  /// tasks, joining them before returning (help-first, so it is safe from
-  /// inside a task). Inline fallback: a null `this`-less call cannot exist,
-  /// so callers with an optional pool use the free parallel_chunks() below.
-  /// Determinism contract: chunk boundaries depend only on (n, grain) and
-  /// every index is processed exactly once, so per-index disjoint writes —
-  /// or per-chunk partial results the caller folds in chunk order — are
-  /// bit-identical to the serial `fn(0, n)` at any thread count.
-  template <class F>
-  void for_chunks(std::size_t n, std::size_t grain, const F& fn) {
-    std::vector<std::future<void>> futures;
-    futures.reserve(n / std::max<std::size_t>(grain, 1) + 1);
-    for (std::size_t begin = 0; begin < n; begin += grain) {
-      const std::size_t end = std::min(n, begin + grain);
-      futures.push_back(submit([&fn, begin, end] { fn(begin, end); }));
-    }
-    for (auto& future : futures) wait(std::move(future));
-  }
-
  private:
   // One deque per worker plus one (index workers_.size()) for external
   // submitters; each guarded by its own mutex. Simple and TSan-clean —
@@ -129,19 +110,5 @@ class Executor {
   std::atomic<std::size_t> pending_{0};
   std::atomic<bool> stop_{false};
 };
-
-/// parallel_chunks(executor, n, grain, fn): Executor::for_chunks with an
-/// optional pool — a null executor (or fewer than two chunks of work) runs
-/// `fn(0, n)` inline. The transform stages call this so a serial build and
-/// a parallel build share one code path and one result.
-template <class F>
-void parallel_chunks(Executor* executor, std::size_t n, std::size_t grain,
-                     const F& fn) {
-  if (executor == nullptr || n <= grain) {
-    fn(std::size_t{0}, n);
-    return;
-  }
-  executor->for_chunks(n, grain, fn);
-}
 
 }  // namespace tp::util

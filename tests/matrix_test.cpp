@@ -357,18 +357,30 @@ TEST(RunMatrix, RepeatedParallelRunsAreIdentical) {
 
 TEST(RunMatrix, UnknownBenchmarkIsCapturedPerTask) {
   // A failing task must not poison the wave: its error lands in
-  // MatrixResult::error while every other cell completes normally.
+  // MatrixResult::error while every other cell completes normally. The
+  // styles of one benchmark share its design slot, so every one of them
+  // reports the build error, each under its own task context.
   RunPlan plan;
   plan.benchmarks = {"no-such-circuit", "s1238"};
-  plan.styles = {DesignStyle::kThreePhase};
+  plan.styles = {DesignStyle::kFlipFlop, DesignStyle::kMasterSlave,
+                 DesignStyle::kThreePhase};
   plan.cycles = 48;
   util::Executor executor(2);
   const std::vector<MatrixResult> results = run_matrix(plan, executor);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_FALSE(results[0].ok());
-  EXPECT_NE(results[0].error.find("no-such-circuit"), std::string::npos);
-  EXPECT_TRUE(results[1].ok());
-  EXPECT_GT(results[1].result.registers, 0);
+  ASSERT_EQ(results.size(), 6u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    SCOPED_TRACE(results[i].error);
+    EXPECT_FALSE(results[i].ok());
+    EXPECT_NE(results[i].error.find("no-such-circuit"), std::string::npos);
+    EXPECT_NE(results[i].error.find("task " + std::to_string(i) + " "),
+              std::string::npos);
+    EXPECT_EQ(results[i].error.substr(results[i].error.find("): ")),
+              results[0].error.substr(results[0].error.find("): ")));
+  }
+  for (std::size_t i = 3; i < 6; ++i) {
+    EXPECT_TRUE(results[i].ok()) << results[i].error;
+    EXPECT_GT(results[i].result.registers, 0);
+  }
 }
 
 TEST(RunMatrix, CancelFlagFailsQueuedTasksFast) {
@@ -382,6 +394,32 @@ TEST(RunMatrix, CancelFlagFailsQueuedTasksFast) {
   ASSERT_EQ(results.size(), 1u);
   EXPECT_FALSE(results[0].ok());
   EXPECT_NE(results[0].error.find("canceled"), std::string::npos);
+}
+
+TEST(RunMatrix, StageTimesAddUpInAFlatWave) {
+  // Every flow of a wave runs whole on one thread, so the tasks'
+  // stopwatches cannot count each other's work: they sum to at most
+  // (workers + the helping caller) x wall, and each task's stage times fit
+  // inside its own seconds. A join nested inside a stage would let one
+  // task's stopwatch run while its thread executes other tasks.
+  RunPlan plan;
+  plan.benchmarks = {"s1196", "s1423", "s5378", "s9234"};
+  plan.styles = {DesignStyle::kFlipFlop, DesignStyle::kMasterSlave,
+                 DesignStyle::kThreePhase};
+  plan.cycles = 32;
+  constexpr std::size_t kWorkers = 4;
+  util::Executor executor(kWorkers);
+  Stopwatch wall;
+  const std::vector<MatrixResult> results = run_matrix(plan, executor);
+  const double wall_s = wall.seconds();
+  double sum_s = 0;
+  for (const MatrixResult& r : results) {
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_LE(r.result.times.total_s(), r.seconds)
+        << r.task.benchmark << "/" << flow::style_name(r.task.style);
+    sum_s += r.seconds;
+  }
+  EXPECT_LE(sum_s, 1.05 * static_cast<double>(kWorkers + 1) * wall_s);
 }
 
 // ---------------------------------------------------------------------------
@@ -474,11 +512,11 @@ TEST(RunMatrix, FannedOutSecCheckpointsStillBlameInjectedStage) {
 // A stage hook that throws mid-flow must unwind cleanly: run_flow()
 // rethrows the hook's error, and every checkpoint submitted before it has
 // settled by then. With an executor, every worker is held busy for the
-// whole flow, so a checkpoint runs only when the flow thread joins it or
-// helps while waiting on other work (retime's parallel sweep does). At
-// "convert" nothing has helped yet, so the synthesis checks are settled
-// only if run_flow() joins them while unwinding; a check left behind would
-// still be queued afterwards, and would read the benchmark the test frees
+// whole flow, and no stage joins work on the pool, so a checkpoint runs
+// only when run_flow() joins it. A hook failing at "convert" or "retime"
+// leaves the earlier stages' checks queued; they are settled only if
+// run_flow() joins them while unwinding. A check left behind would still
+// be queued afterwards, and would read the benchmark the test frees
 // (which the sanitizer jobs report). Runs under TSan in CI.
 TEST(RunFlow, StageHookErrorSettlesSubmittedCheckpoints) {
   for (const std::size_t threads : {0, 4}) {  // 0: the inline path

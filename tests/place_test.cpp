@@ -431,12 +431,10 @@ TEST(Placer, BitIdenticalToParentOnPaperDesigns) {
   }
   std::vector<std::future<std::uint64_t>> hashes;
   for (const flow::MatrixResult& r : results) {
-    hashes.push_back(executor.submit([&r, &executor] {
+    hashes.push_back(executor.submit([&r] {
       CellLibrary library = CellLibrary::nominal_28nm();
       flow::backend_for(r.task.style).adjust_library(library);
-      PlaceOptions options;
-      options.executor = &executor;
-      return placement_hash(place(r.result.netlist, library, options));
+      return placement_hash(place(r.result.netlist, library, PlaceOptions{}));
     }));
   }
   for (std::size_t i = 0; i < results.size(); ++i) {
