@@ -4,9 +4,9 @@
 // co-located same-clock latches into 2/4/8-bit banks with shared clock
 // internals.
 //
-// The conversions run as one RunPlan on the work-stealing executor; the
-// banking analysis then reuses each task's converted netlist. --lanes >= 2
-// splits the cycle budget across a bit-parallel wide simulation.
+// The conversions run as one RunPlan on the executor; the banking analysis
+// then reuses each task's converted netlist. --lanes >= 2 splits the cycle
+// budget across a bit-parallel wide simulation.
 //
 //   $ ./bench/ext_multibit_banking --cycles 128 --lanes 4
 #include <cstdio>

@@ -5,9 +5,9 @@
 // register-to-register path needs buffers to outlast the pulse. The table
 // makes that cost and the remaining power gap visible.
 //
-// Runs as one RunPlan on the work-stealing executor; rows stream out in
-// task order. --lanes >= 2 splits the cycle budget across a bit-parallel
-// wide simulation.
+// Runs as one RunPlan on the executor; rows stream out in task order.
+// --lanes >= 2 splits the cycle budget across a bit-parallel wide
+// simulation.
 //
 //   $ ./bench/pulsed_latch_comparison --cycles 128 --lanes 4
 #include <cstdio>

@@ -1,8 +1,8 @@
 // matrix_cli — parallel benchmark x style sweeps over the flow engine.
 //
 // Describe a RunPlan on the command line (which circuits, which design
-// styles, shared flow options) and execute it on the work-stealing
-// executor, printing one row per task plus throughput totals:
+// styles, shared flow options) and execute it on the executor, printing
+// one row per task plus throughput totals:
 //
 //   $ ./examples/matrix_cli                          # all benchmarks, ff/ms/3p
 //   $ ./examples/matrix_cli --circuit s5378 --circuit s9234 --backend 3p

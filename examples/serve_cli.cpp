@@ -4,7 +4,7 @@
 // jobs (see src/serve/protocol.hpp) over a Unix-domain socket, a loopback
 // TCP port, and/or a job-file drop directory, answers them from the
 // content-addressed result cache when possible, and executes the misses
-// as coalesced waves on the shared work-stealing executor.
+// as coalesced waves on the shared executor.
 //
 //   $ ./examples/serve_cli --drop-dir /tmp/tp-jobs --cache-dir /tmp/tp-cache
 //   $ ./examples/serve_cli --socket /tmp/tp.sock --threads 8

@@ -316,10 +316,12 @@ CheckReport finalize_report(const Netlist& netlist,
   report.design = netlist.name();
   report.diags = std::move(diags);
   // Canonical report order: (rule, first offending cell, first offending
-  // net, message). Rules already emit in this order internally, but reports
-  // merged from parallel checkpoint waves (flow::run_flow with an executor)
-  // must land byte-identical to a serial run, so the ordering is enforced
-  // here rather than trusted. stable_sort keeps duplicate-key emission order.
+  // net, message). Rules already emit in this order internally, but a
+  // report merged from several passes (structural rules plus the dataflow
+  // analyses at a flow checkpoint) must land byte-identical whichever pass
+  // found a finding first and on whichever thread the flow ran, so the
+  // ordering is enforced here rather than trusted. stable_sort keeps
+  // duplicate-key emission order.
   const auto first_or_empty = [](const std::vector<std::string>& names)
       -> const std::string& {
     static const std::string kEmpty;

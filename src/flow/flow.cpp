@@ -1,8 +1,6 @@
 #include "src/flow/flow.hpp"
 
 #include <algorithm>
-#include <future>
-#include <memory>
 #include <optional>
 
 #include "src/analysis/analysis.hpp"
@@ -10,7 +8,6 @@
 #include "src/netlist/traverse.hpp"
 #include "src/place/placer.hpp"
 #include "src/timing/incremental.hpp"
-#include "src/util/executor.hpp"
 
 namespace tp::flow {
 namespace {
@@ -90,99 +87,38 @@ FlowResult run_flow(const circuits::Benchmark& benchmark, DesignStyle style,
   analysis_options.check = lint_options;
   analysis_options.timing = options.timing;
   analysis_options.borrow_budget_ps = options.borrow_budget_ps;
-  const bool lint_checks = options.check_rules || options.check_analysis;
 
-  // Checkpoint jobs: pure functions of one stage's output netlist. SEC
-  // proves it still matches the input FF design; lint runs the structural
-  // rules, the dataflow analyses, or both merged into one report.
-  const auto sec_job = [golden = &benchmark.netlist, sec = options.sec](
-                           std::string stage, const Netlist& revised) {
-    Stopwatch watch;
-    StageCheck check;
-    check.stage = std::move(stage);
-    check.result = equiv::check_sequential_equivalence(*golden, revised, sec);
-    check.seconds = watch.seconds();
-    return check;
-  };
-  const auto lint_job = [check_rules = options.check_rules,
-                         check_analysis = options.check_analysis, lint_options,
-                         analysis_options](std::string stage,
-                                           const Netlist& snapshot) {
-    Stopwatch watch;
-    StageLint lint;
-    lint.stage = std::move(stage);
-    if (check_rules) lint.report = check::run_checks(snapshot, lint_options);
-    if (check_analysis) {
-      lint.report.merge(analysis::run_analysis(snapshot, analysis_options));
-    }
-    lint.seconds = watch.seconds();
-    return lint;
-  };
-  const auto record_check = [&](StageCheck check) {
-    result.times.equiv_s += check.seconds;
-    result.equiv.stages.push_back(std::move(check));
-  };
-  const auto record_lint = [&](StageLint lint) {
-    result.times.lint_s += lint.seconds;
-    result.lint.stages.push_back(std::move(lint));
-  };
-  // With an executor, each checkpoint snapshots the stage output and runs
-  // its jobs as pool tasks that overlap with the rest of the flow; the
-  // futures are joined in stage order before run_flow() returns. Without
-  // one, the jobs run at once on the live netlist.
-  std::vector<std::future<StageCheck>> equiv_futures;
-  std::vector<std::future<StageLint>> lint_futures;
-  // If the flow unwinds with checkpoints still in flight, settle them
-  // first: they read the caller's benchmark, which may go away once
-  // run_flow() returns. The normal path consumes (moves out) every future,
-  // leaving nothing to join here.
-  struct PendingChecks {
-    std::vector<std::future<StageCheck>>* equiv;
-    std::vector<std::future<StageLint>>* lint;
-    util::Executor* executor;
-    ~PendingChecks() {
-      for (auto& future : *equiv) {
-        if (!future.valid()) continue;
-        try {
-          executor->wait(std::move(future));
-        } catch (...) {  // already unwinding; the flow's error wins
-        }
-      }
-      for (auto& future : *lint) {
-        if (!future.valid()) continue;
-        try {
-          executor->wait(std::move(future));
-        } catch (...) {
-        }
-      }
-    }
-  } pending_checks{&equiv_futures, &lint_futures, options.executor};
   // The stage hook runs first so tests can inject a fault "inside" a stage
-  // and assert the checkpoint blames it. Callers must reset `step`
-  // afterwards — checkpoint time is accounted to times.equiv_s/lint_s, not
-  // to the surrounding stage.
+  // and assert the checkpoint blames it. Each checkpoint then checks the
+  // live netlist: SEC proves it still matches the input FF design; lint
+  // runs the structural rules, the dataflow analyses, or both merged into
+  // one report. Callers must reset `step` afterwards — checkpoint time is
+  // accounted to times.equiv_s/lint_s, not to the surrounding stage.
   const auto checkpoint = [&](std::string_view stage) {
     if (options.stage_hook) options.stage_hook(netlist, stage);
-    if (options.executor == nullptr) {
-      if (options.check_equivalence) {
-        record_check(sec_job(std::string(stage), netlist));
-      }
-      if (lint_checks) record_lint(lint_job(std::string(stage), netlist));
-      return;
-    }
-    if (!options.check_equivalence && !lint_checks) return;
-    auto snapshot = std::make_shared<const Netlist>(netlist);
     if (options.check_equivalence) {
-      equiv_futures.push_back(options.executor->submit(
-          [sec_job, snapshot, stage = std::string(stage)] {
-            return sec_job(stage, *snapshot);
-          }));
+      Stopwatch watch;
+      StageCheck check;
+      check.stage = std::string(stage);
+      check.result = equiv::check_sequential_equivalence(benchmark.netlist,
+                                                         netlist, options.sec);
+      check.seconds = watch.seconds();
+      result.times.equiv_s += check.seconds;
+      result.equiv.stages.push_back(std::move(check));
     }
-    if (lint_checks) {
-      lint_futures.push_back(options.executor->submit(
-          [lint_job, snapshot, stage = std::string(stage)] {
-            return lint_job(stage, *snapshot);
-          }));
+    if (options.check_rules || options.check_analysis) {
+      Stopwatch watch;
+      StageLint lint;
+      lint.stage = std::string(stage);
+      if (options.check_rules) {
+        lint.report = check::run_checks(netlist, lint_options);
+      }
+      if (options.check_analysis) {
+        lint.report.merge(analysis::run_analysis(netlist, analysis_options));
+      }
+      lint.seconds = watch.seconds();
+      result.times.lint_s += lint.seconds;
+      result.lint.stages.push_back(std::move(lint));
     }
   };
 
@@ -266,15 +202,6 @@ FlowResult run_flow(const circuits::Benchmark& benchmark, DesignStyle style,
   result.power =
       compute_power(netlist, library, activity, &placement, &clock_tree);
   result.netlist = std::move(netlist);
-
-  // Join the fanned-out checkpoints (none without an executor). wait()
-  // helps: the caller runs pending checks itself while it waits.
-  for (std::future<StageCheck>& future : equiv_futures) {
-    record_check(options.executor->wait(std::move(future)));
-  }
-  for (std::future<StageLint>& future : lint_futures) {
-    record_lint(options.executor->wait(std::move(future)));
-  }
   return result;
 }
 

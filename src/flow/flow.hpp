@@ -12,6 +12,7 @@
 // ("streaming inputs ... and comparing output streams", Sec. V).
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <iosfwd>
 #include <span>
@@ -34,10 +35,6 @@
 #include "src/transform/p2_gating.hpp"
 #include "src/transform/pulsed_latch.hpp"
 #include "src/transform/two_phase.hpp"
-
-namespace tp::util {
-class Executor;
-}  // namespace tp::util
 
 namespace tp::flow {
 
@@ -115,15 +112,11 @@ struct FlowOptions {
   /// checkpoint report blames exactly that stage.
   std::function<void(Netlist&, std::string_view)> stage_hook;
 
-  /// When set, the opt-in per-stage SEC and lint checkpoints run as tasks
-  /// on this executor against a snapshot of the stage output, overlapping
-  /// with the remaining transform stages instead of serializing behind
-  /// them; without it the same checks run at once on the live netlist.
-  /// run_flow() joins them before returning, so FlowResult is bit-identical
-  /// either way (the checks are pure functions of the stage output).
-  /// For a single caller's flow only: matrix and serve waves clear it and
-  /// run each flow whole on one thread. Not owned.
-  util::Executor* executor = nullptr;
+  /// The per-stage SEC and lint checkpoints always run inline, on the live
+  /// netlist of the flow's own thread. This member holds no pool: its type
+  /// admits only nullptr, and it exists so callers that read or clear it
+  /// (`options.executor = nullptr`) still compile.
+  std::nullptr_t executor = nullptr;
 
   /// The configuration every paper table uses; identical to a
   /// default-constructed FlowOptions, spelled as a named constructor so

@@ -114,16 +114,12 @@ MatrixResult run_in_slot(const RunPlan& plan, const MatrixTask& task,
   return out;
 }
 
-// A plan prepared for a wave: its tasks, one design slot per benchmark, and
-// its options without an executor, so every flow runs whole on the thread
-// that picked it up.
+// A plan prepared for a wave: its tasks and one design slot per benchmark.
 struct Wave {
   explicit Wave(const RunPlan& source)
       : plan(source),
         tasks(plan.tasks()),
-        slots(plan.styles.empty() ? 0 : tasks.size() / plan.styles.size()) {
-    plan.options.executor = nullptr;
-  }
+        slots(plan.styles.empty() ? 0 : tasks.size() / plan.styles.size()) {}
 
   MatrixResult run(std::size_t i) {
     return run_in_slot(plan, tasks[i], slots[i / plan.styles.size()]);

@@ -4,17 +4,15 @@
 // all sweep the same grid: benchmarks x design styles, each cell an
 // independent run_flow() invocation. RunPlan describes such a grid once —
 // benchmark names, styles, shared FlowOptions, workload, cycle count and a
-// base stimulus seed — and run_matrix() executes every cell on a
-// work-stealing Executor (src/util/executor.hpp).
+// base stimulus seed — and run_matrix() executes every cell on an
+// Executor (src/util/executor.hpp).
 //
 // A wave is flat: each cell's run_flow() runs whole on the thread that
-// picked it up, with no executor inside (run_matrix() clears
-// FlowOptions::executor, so opt-in checkpoints run inline). Each
-// benchmark's Benchmark and Stimulus are built once per wave, by the first
-// of its cells to start, and shared read-only by all of its styles;
-// run_flow() converts a copy. So MatrixResult::seconds is the time one
-// thread spent on one cell, and the cells' times add up to at most
-// threads x wall.
+// picked it up, opt-in checkpoints included. Each benchmark's Benchmark and
+// Stimulus are built once per wave, by the first of its cells to start,
+// and shared read-only by all of its styles; run_flow() converts a copy.
+// So MatrixResult::seconds is the time one thread spent on one cell, and
+// the cells' times add up to at most threads x wall.
 //
 // Determinism contract: results are bit-identical regardless of thread
 // count or scheduling order. Each task derives its stimulus seed with

@@ -51,10 +51,11 @@ bool workload_from_name(std::string_view text,
 
 std::string options_fingerprint(const FlowOptions& o) {
   // Every field that changes a FlowResult, in a fixed order. Excluded on
-  // purpose: executor, vcd, stage_hook (observation hooks) and the lint
-  // waiver set (verdict presentation, not flow output). Bump the leading
-  // version tag when the flow grows result-affecting options that default
-  // to old behavior, so old fingerprints stay honest.
+  // purpose: incremental_timing (identical reports by contract), vcd and
+  // stage_hook (observation hooks), the nullptr-only executor placeholder,
+  // and the lint waiver set (verdict presentation, not flow output). Bump
+  // the leading version tag when the flow grows result-affecting options
+  // that default to old behavior, so old fingerprints stay honest.
   return cat(
       "flowopts-v4",
       " cg=", static_cast<int>(o.synthesis_cg.style),

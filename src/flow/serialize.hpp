@@ -7,7 +7,8 @@
 //  - options_fingerprint(): a canonical text rendering of every
 //    result-affecting FlowOptions field, hashed into the cache key so two
 //    requests share a cache entry iff their flows are configured
-//    identically (wall-clock-only switches like `executor` are excluded);
+//    identically (wall-clock-only switches like `incremental_timing` are
+//    excluded);
 //  - result_payload_json(): the JSON payload describing one MatrixResult.
 //    Deterministic by construction — it contains no wall-clock fields and
 //    is produced by the same JsonWriter code on every path, so a cache hit

@@ -1,9 +1,10 @@
 #include "src/util/argparse.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <stdexcept>
+#include <system_error>
 
 namespace tp::util {
 
@@ -53,36 +54,48 @@ void ArgParser::add_positionals(std::vector<std::string>* target,
   positional_help_ = std::move(help);
 }
 
+namespace {
+
+// Parses all of `text` as a T into *out, which is left untouched on
+// failure: no leading whitespace, no sign but the '-' a signed target
+// allows, no trailing characters, and the value must fit in T.
+template <class T>
+bool parse_number(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  T value{};
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return false;
+  *out = value;
+  return true;
+}
+
+}  // namespace
+
 bool ArgParser::apply(const Option& option, const std::string& value,
                       std::string* error) {
-  try {
-    switch (option.kind) {
-      case Kind::kFlag:
-        *static_cast<bool*>(option.target) = true;
-        break;
-      case Kind::kString:
-        *static_cast<std::string*>(option.target) = value;
-        break;
-      case Kind::kSize:
-        *static_cast<std::size_t*>(option.target) =
-            static_cast<std::size_t>(std::stoul(value));
-        break;
-      case Kind::kInt:
-        *static_cast<int*>(option.target) = std::stoi(value);
-        break;
-      case Kind::kDouble:
-        *static_cast<double*>(option.target) = std::stod(value);
-        break;
-      case Kind::kList:
-        static_cast<std::vector<std::string>*>(option.target)
-            ->push_back(value);
-        break;
-    }
-  } catch (const std::exception&) {
-    *error = "invalid value '" + value + "' for " + option.name;
-    return false;
+  bool ok = true;
+  switch (option.kind) {
+    case Kind::kFlag:
+      *static_cast<bool*>(option.target) = true;
+      break;
+    case Kind::kString:
+      *static_cast<std::string*>(option.target) = value;
+      break;
+    case Kind::kSize:
+      ok = parse_number(value, static_cast<std::size_t*>(option.target));
+      break;
+    case Kind::kInt:
+      ok = parse_number(value, static_cast<int*>(option.target));
+      break;
+    case Kind::kDouble:
+      ok = parse_number(value, static_cast<double*>(option.target));
+      break;
+    case Kind::kList:
+      static_cast<std::vector<std::string>*>(option.target)->push_back(value);
+      break;
   }
-  return true;
+  if (!ok) *error = "invalid value '" + value + "' for " + option.name;
+  return ok;
 }
 
 bool ArgParser::parse(int argc, char** argv, std::string* error,

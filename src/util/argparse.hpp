@@ -28,9 +28,9 @@ class ArgParser {
   /// Bare boolean switch: present sets *target to true.
   void add_flag(std::string name, bool* target, std::string help);
 
-  /// `--name VALUE` options for the common target types. std::size_t and
-  /// int values are parsed with std::stoul/std::stoi; a malformed number
-  /// is a usage error.
+  /// `--name VALUE` options for the common target types. A number must be
+  /// the whole value and fit its target: trailing characters, a '-' for a
+  /// std::size_t, or an out-of-range value is a usage error.
   void add_value(std::string name, std::string* target, std::string help,
                  std::string metavar = "VALUE");
   void add_value(std::string name, std::size_t* target, std::string help,

@@ -3,15 +3,6 @@
 #include <cstdlib>
 
 namespace tp::util {
-namespace {
-
-// Which executor (if any) owns the current thread, and which deque is its
-// home. Lets submit() from a worker push to that worker's own deque front
-// and lets run_one() start its scan locally.
-thread_local const Executor* tl_owner = nullptr;
-thread_local std::size_t tl_home = 0;
-
-}  // namespace
 
 std::size_t Executor::default_thread_count() {
   if (const char* env = std::getenv("TP_THREADS")) {
@@ -24,100 +15,56 @@ std::size_t Executor::default_thread_count() {
 
 Executor::Executor(std::size_t threads) {
   if (threads == 0) threads = default_thread_count();
-  deques_.reserve(threads + 1);
-  for (std::size_t i = 0; i < threads + 1; ++i) {
-    deques_.push_back(std::make_unique<Deque>());
-  }
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 Executor::~Executor() {
   // Drain: anything still queued must run so outstanding futures resolve.
-  std::function<void()> task;
-  while (try_pop(deques_.size() - 1, task)) task();
+  while (run_one()) {
+  }
   {
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
-    stop_.store(true, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> lock(mutex_);
+    stop_ = true;
   }
   wake_.notify_all();
   for (std::thread& worker : workers_) worker.join();
 }
 
 void Executor::enqueue(std::function<void()> task) {
-  const std::size_t home =
-      tl_owner == this ? tl_home : deques_.size() - 1;
   {
-    std::lock_guard<std::mutex> lock(deques_[home]->mutex);
-    // Workers push to their own front (LIFO: the subtask reuses the data
-    // the parent just touched); external submissions append.
-    if (tl_owner == this) {
-      deques_[home]->tasks.push_front(std::move(task));
-    } else {
-      deques_[home]->tasks.push_back(std::move(task));
-    }
-  }
-  {
-    // Bump under the sleep mutex so a worker between its empty-deque scan
-    // and its wait() cannot miss this submission (lost-wakeup race).
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
-    pending_.fetch_add(1, std::memory_order_release);
+    std::lock_guard<std::mutex> lock(mutex_);
+    tasks_.push_back(std::move(task));
   }
   wake_.notify_one();
 }
 
-bool Executor::try_pop(std::size_t home, std::function<void()>& out) {
-  const std::size_t n = deques_.size();
-  for (std::size_t round = 0; round < n; ++round) {
-    const std::size_t i = (home + round) % n;
-    Deque& dq = *deques_[i];
-    std::lock_guard<std::mutex> lock(dq.mutex);
-    if (dq.tasks.empty()) continue;
-    if (i == home) {
-      out = std::move(dq.tasks.front());  // own deque: newest first
-      dq.tasks.pop_front();
-    } else {
-      out = std::move(dq.tasks.back());  // steal the oldest (FIFO end)
-      dq.tasks.pop_back();
-    }
-    pending_.fetch_sub(1, std::memory_order_acquire);
-    return true;
-  }
-  return false;
-}
-
 bool Executor::run_one() {
-  const std::size_t home =
-      tl_owner == this ? tl_home : deques_.size() - 1;
   std::function<void()> task;
-  if (!try_pop(home, task)) return false;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (tasks_.empty()) return false;
+    task = std::move(tasks_.front());
+    tasks_.pop_front();
+  }
   task();
   return true;
 }
 
-void Executor::worker_loop(std::size_t index) {
-  tl_owner = this;
-  tl_home = index;
-  std::function<void()> task;
+void Executor::worker_loop() {
   while (true) {
-    if (try_pop(index, task)) {
-      task();
-      task = nullptr;  // release captures before sleeping
-      continue;
+    std::function<void()> task;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      wake_.wait(lock, [this] { return stop_ || !tasks_.empty(); });
+      if (tasks_.empty()) return;  // stopping, and nothing left to run
+      task = std::move(tasks_.back());
+      tasks_.pop_back();
     }
-    std::unique_lock<std::mutex> lock(sleep_mutex_);
-    wake_.wait(lock, [this] {
-      return stop_.load(std::memory_order_relaxed) ||
-             pending_.load(std::memory_order_acquire) > 0;
-    });
-    if (stop_.load(std::memory_order_relaxed) &&
-        pending_.load(std::memory_order_acquire) == 0) {
-      break;
-    }
+    task();
   }
-  tl_owner = nullptr;
 }
 
 }  // namespace tp::util

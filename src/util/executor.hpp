@@ -1,14 +1,13 @@
-// Work-stealing thread pool for the parallel flow engine.
+// Thread pool for the parallel flow engine.
 //
 // Parallelism runs across flows, never inside a stage: a matrix wave
 // (src/flow/matrix.hpp) or a serve wave submits one task per
 // benchmark x style cell and each task runs its whole run_flow() on the
-// thread that picked it up. The only other tasks are a single caller's
-// opt-in per-stage SEC / lint checkpoints (FlowOptions::executor). Every
-// task is a pure function of its inputs. The Executor runs them on a fixed
-// set of worker threads with per-worker deques and LIFO-local / FIFO-steal
-// scheduling: submissions from a worker go to its own deque front, idle
-// workers steal from the back of their peers' deques.
+// thread that picked it up. Every task is a pure function of its inputs.
+// The Executor runs them on a fixed set of worker threads that share one
+// task queue: submissions append to its back, workers take the newest
+// task (back) and a helping caller the oldest (front), so the workers take
+// a wave's cells from its end while the caller works from its front.
 //
 // Joins help: Executor::wait() runs pending tasks on the calling thread
 // while the future is not ready, so the thread that submitted a wave
@@ -24,7 +23,6 @@
 // back to std::thread::hardware_concurrency().
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -69,8 +67,8 @@ class Executor {
     return future;
   }
 
-  /// Runs one pending task on the calling thread if any is available.
-  /// Returns false when every deque was empty at the time of the scan.
+  /// Runs the oldest pending task on the calling thread, if any.
+  /// Returns false when the queue was empty.
   bool run_one();
 
   /// Joins `future`, running pending tasks on the calling thread while it
@@ -90,25 +88,16 @@ class Executor {
   }
 
  private:
-  // One deque per worker plus one (index workers_.size()) for external
-  // submitters; each guarded by its own mutex. Simple and TSan-clean —
-  // the flow tasks are milliseconds to seconds, so queue contention is
-  // noise.
-  struct Deque {
-    std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
-  };
-
   void enqueue(std::function<void()> task);
-  bool try_pop(std::size_t home, std::function<void()>& out);
-  void worker_loop(std::size_t index);
+  void worker_loop();
 
-  std::vector<std::unique_ptr<Deque>> deques_;
-  std::vector<std::thread> workers_;
-  std::mutex sleep_mutex_;
+  // One queue under one mutex. Simple and TSan-clean: the flow tasks are
+  // milliseconds to seconds, so queue contention is noise.
+  std::mutex mutex_;
   std::condition_variable wake_;
-  std::atomic<std::size_t> pending_{0};
-  std::atomic<bool> stop_{false};
+  std::deque<std::function<void()>> tasks_;
+  bool stop_ = false;
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace tp::util

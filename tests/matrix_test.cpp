@@ -1,4 +1,4 @@
-// Tests for the parallel flow engine: the work-stealing Executor
+// Tests for the parallel flow engine: the Executor
 // (src/util/executor.hpp) and the RunPlan / run_matrix API
 // (src/flow/matrix.hpp), including the determinism contract — parallel
 // results must be bit-identical to serial run_flow() loops.
@@ -6,8 +6,7 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <memory>
-#include <optional>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -137,6 +136,45 @@ TEST(Executor, RunOneFromNonWorkerThread) {
   }
   EXPECT_EQ(executor.wait(std::move(slow)), 1);
   EXPECT_EQ(executor.wait(std::move(quick)), 2);
+}
+
+// The schedule of a wave submitted from outside the pool: a helping caller
+// takes the oldest queued task, the workers the newest. Which flows run
+// side by side in a wave depends on this order.
+TEST(Executor, CallerTakesOldestWorkersTakeNewest) {
+  Executor executor(1);
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  auto blocker = executor.submit([&started, &release] {
+    started.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  while (!started.load()) std::this_thread::yield();
+
+  std::mutex order_mutex;
+  std::string order;
+  const auto record = [&order_mutex, &order](char name) {
+    return [&order_mutex, &order, name] {
+      std::lock_guard<std::mutex> lock(order_mutex);
+      order += name;
+    };
+  };
+  auto a = executor.submit(record('A'));
+  auto b = executor.submit(record('B'));
+  auto c = executor.submit(record('C'));
+
+  ASSERT_TRUE(executor.run_one());
+  {
+    std::lock_guard<std::mutex> lock(order_mutex);
+    EXPECT_EQ(order, "A");
+  }
+  // Plain get(), not wait(): a helping join would race the worker for B.
+  release.store(true);
+  blocker.get();
+  b.get();
+  c.get();
+  a.get();
+  EXPECT_EQ(order, "ACB");
 }
 
 // ---------------------------------------------------------------------------
@@ -423,54 +461,22 @@ TEST(RunMatrix, StageTimesAddUpInAFlatWave) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint fan-out inside run_flow().
-
-TEST(RunMatrix, FannedOutCheckpointsMatchInlineCheckpoints) {
-  const circuits::Benchmark bench = circuits::make_benchmark("s1423");
-  const Stimulus stim = circuits::make_stimulus(
-      bench, circuits::Workload::kPaperDefault, 48, 7);
-
-  FlowOptions inline_options;
-  inline_options.check_rules = true;
-  const FlowResult inline_run =
-      run_flow(bench, DesignStyle::kThreePhase, stim, inline_options);
-
-  util::Executor executor(4);
-  FlowOptions fanned_options;
-  fanned_options.check_rules = true;
-  fanned_options.executor = &executor;
-  const FlowResult fanned =
-      run_flow(bench, DesignStyle::kThreePhase, stim, fanned_options);
-
-  ASSERT_EQ(inline_run.lint.stages.size(), fanned.lint.stages.size());
-  for (std::size_t i = 0; i < fanned.lint.stages.size(); ++i) {
-    EXPECT_EQ(inline_run.lint.stages[i].stage, fanned.lint.stages[i].stage);
-    EXPECT_EQ(inline_run.lint.stages[i].report.errors,
-              fanned.lint.stages[i].report.errors);
-    EXPECT_EQ(inline_run.lint.stages[i].report.warnings,
-              fanned.lint.stages[i].report.warnings);
-  }
-  EXPECT_TRUE(fanned.lint.all_clean());
-  EXPECT_TRUE(streams_equal(inline_run.outputs, fanned.outputs));
-}
+// Checkpoints inside run_flow().
 
 // Deterministic-report regression (runs under TSan in CI): the per-stage
-// lint+analysis reports of one flow must be byte-identical JSON whether
-// the checkpoints run inline, fanned out on 1 worker, or fanned out on 8
-// workers — finalize_report's canonical diagnostic ordering is what makes
-// the parallel merge converge.
+// lint+analysis reports of a flow must be byte-identical JSON whether the
+// flow runs inline or as a cell of a wave on 1 or 8 workers —
+// finalize_report's canonical diagnostic ordering is what makes every
+// merged report converge.
 TEST(RunMatrix, LintWaveJsonByteIdenticalAcrossThreadCounts) {
-  const circuits::Benchmark bench = circuits::make_benchmark("s1423");
-  const Stimulus stim = circuits::make_stimulus(
-      bench, circuits::Workload::kPaperDefault, 32, 7);
+  RunPlan plan;
+  plan.benchmarks = {"s1196", "s1423"};
+  plan.styles = {DesignStyle::kMasterSlave, DesignStyle::kThreePhase};
+  plan.cycles = 32;
+  plan.options.check_rules = true;
+  plan.options.check_analysis = true;
 
-  const auto wave_bytes = [&](util::Executor* executor) {
-    FlowOptions options;
-    options.check_rules = true;
-    options.check_analysis = true;
-    options.executor = executor;
-    const FlowResult r =
-        run_flow(bench, DesignStyle::kThreePhase, stim, options);
+  const auto lint_bytes = [](const FlowResult& r) {
     std::string bytes;
     for (const flow::StageLint& stage : r.lint.stages) {
       bytes += stage.stage;
@@ -481,91 +487,57 @@ TEST(RunMatrix, LintWaveJsonByteIdenticalAcrossThreadCounts) {
     return bytes;
   };
 
-  const std::string inline_bytes = wave_bytes(nullptr);
-  util::Executor one(1);
-  const std::string one_bytes = wave_bytes(&one);
-  util::Executor eight(8);
-  const std::string eight_bytes = wave_bytes(&eight);
-  EXPECT_EQ(one_bytes, eight_bytes);
-  EXPECT_EQ(inline_bytes, one_bytes);
-  EXPECT_FALSE(inline_bytes.empty());
-}
+  std::vector<std::string> inline_bytes;
+  for (const std::string& name : plan.benchmarks) {
+    const circuits::Benchmark bench = circuits::make_benchmark(name);
+    const Stimulus stim = circuits::make_stimulus(
+        bench, plan.workload, plan.cycles,
+        flow::task_seed(plan.stimulus_seed, name));
+    for (const DesignStyle style : plan.styles) {
+      inline_bytes.push_back(
+          lint_bytes(run_flow(bench, style, stim, plan.options)));
+      EXPECT_FALSE(inline_bytes.back().empty());
+    }
+  }
 
-TEST(RunMatrix, FannedOutSecCheckpointsStillBlameInjectedStage) {
-  // The stage_hook fault-injection protocol must survive the fan-out: the
-  // hook mutates the live netlist synchronously, the snapshot is taken
-  // afterwards, and the checkpoint report blames the right stage.
-  const circuits::Benchmark bench = circuits::make_benchmark("s1196");
-  const Stimulus stim = circuits::make_stimulus(
-      bench, circuits::Workload::kPaperDefault, 32, 7);
-  util::Executor executor(2);
-  FlowOptions options;
-  options.check_rules = true;
-  options.executor = &executor;
-  const FlowResult result =
-      run_flow(bench, DesignStyle::kThreePhase, stim, options);
-  EXPECT_TRUE(result.lint.all_clean());
-  EXPECT_GE(result.lint.stages.size(), 3u);
-  EXPECT_EQ(result.lint.stages.front().stage, "synthesis");
+  for (const std::size_t threads : {1, 8}) {
+    util::Executor executor(threads);
+    const std::vector<MatrixResult> wave = run_matrix(plan, executor);
+    ASSERT_EQ(wave.size(), inline_bytes.size());
+    for (std::size_t i = 0; i < wave.size(); ++i) {
+      ASSERT_TRUE(wave[i].ok()) << wave[i].error;
+      EXPECT_EQ(lint_bytes(wave[i].result), inline_bytes[i])
+          << threads << " thread(s), " << wave[i].task.benchmark << "/"
+          << flow::style_name(wave[i].task.style);
+    }
+  }
 }
 
 // A stage hook that throws mid-flow must unwind cleanly: run_flow()
-// rethrows the hook's error, and every checkpoint submitted before it has
-// settled by then. With an executor, every worker is held busy for the
-// whole flow, and no stage joins work on the pool, so a checkpoint runs
-// only when run_flow() joins it. A hook failing at "convert" or "retime"
-// leaves the earlier stages' checks queued; they are settled only if
-// run_flow() joins them while unwinding. A check left behind would still
-// be queued afterwards, and would read the benchmark the test frees
-// (which the sanitizer jobs report). Runs under TSan in CI.
-TEST(RunFlow, StageHookErrorSettlesSubmittedCheckpoints) {
-  for (const std::size_t threads : {0, 4}) {  // 0: the inline path
-    for (const std::string_view fail_at : {"convert", "retime"}) {
-      SCOPED_TRACE(std::to_string(threads) + " thread(s), hook fails at " +
-                   std::string(fail_at));
-      auto bench = std::make_unique<circuits::Benchmark>(
-          circuits::make_benchmark("s1196"));
-      const Stimulus stim = circuits::make_stimulus(
-          *bench, circuits::Workload::kPaperDefault, 32, 7);
-      std::optional<Executor> executor;
-      std::atomic<std::size_t> busy{0};
-      std::atomic<bool> release{false};
-      std::vector<std::future<void>> blockers;
-      if (threads > 0) {
-        executor.emplace(threads);
-        for (std::size_t i = 0; i < threads; ++i) {
-          blockers.push_back(executor->submit([&busy, &release] {
-            busy.fetch_add(1);
-            while (!release.load()) std::this_thread::yield();
-          }));
-        }
-        while (busy.load() < threads) std::this_thread::yield();
-      }
-      std::vector<std::string> stages;
-      FlowOptions options;
-      options.check_equivalence = true;
-      options.check_rules = true;
-      options.executor = executor ? &*executor : nullptr;
-      options.stage_hook = [&](Netlist&, std::string_view stage) {
-        stages.emplace_back(stage);
-        if (stage == fail_at) throw Error("hook failed");
-      };
-      try {
-        (void)run_flow(*bench, DesignStyle::kThreePhase, stim, options);
-        ADD_FAILURE() << "run_flow() returned despite the hook's error";
-      } catch (const Error& e) {
-        EXPECT_NE(std::string(e.what()).find("hook failed"),
-                  std::string::npos)
-            << e.what();
-      }
-      EXPECT_EQ(stages.back(), fail_at);
-      if (executor) {
-        EXPECT_FALSE(executor->run_one());  // nothing left queued
-      }
-      bench.reset();
-      release.store(true);
-      for (std::future<void>& blocker : blockers) blocker.get();
+// rethrows the hook's error from the checkpoint that called it, after the
+// checkpoints of every earlier stage have run.
+TEST(RunFlow, StageHookErrorUnwindsInlineCheckpoints) {
+  for (const std::string_view fail_at : {"convert", "retime"}) {
+    SCOPED_TRACE("hook fails at " + std::string(fail_at));
+    const circuits::Benchmark bench = circuits::make_benchmark("s1196");
+    const Stimulus stim = circuits::make_stimulus(
+        bench, circuits::Workload::kPaperDefault, 32, 7);
+    std::vector<std::string> stages;
+    FlowOptions options;
+    options.check_equivalence = true;
+    options.check_rules = true;
+    options.stage_hook = [&](Netlist&, std::string_view stage) {
+      stages.emplace_back(stage);
+      if (stage == fail_at) throw Error("hook failed");
+    };
+    try {
+      (void)run_flow(bench, DesignStyle::kThreePhase, stim, options);
+      ADD_FAILURE() << "run_flow() returned despite the hook's error";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("hook failed"), std::string::npos)
+          << e.what();
     }
+    EXPECT_EQ(stages.back(), fail_at);
   }
 }
 

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
 #include <unordered_set>
+#include <vector>
 
+#include "src/util/argparse.hpp"
 #include "src/util/ids.hpp"
 #include "src/util/log.hpp"
 #include "src/util/rng.hpp"
@@ -100,6 +104,149 @@ TEST(Stopwatch, MeasuresForwardTime) {
   EXPECT_GE(sw.seconds(), 0.0);
   sw.reset();
   EXPECT_GE(sw.seconds(), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// ArgParser.
+
+// Parses `args` (argv[0] excluded) and returns parse()'s verdict.
+bool parse_args(util::ArgParser& parser, std::vector<std::string> args,
+                std::string* error, bool* help) {
+  args.insert(args.begin(), "prog");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return parser.parse(static_cast<int>(argv.size()), argv.data(), error,
+                      help);
+}
+
+struct ParsedArgs {
+  bool verbose = false;
+  std::string name = "unset";
+  std::size_t count = 5;
+  int offset = 0;
+  double scale = 1.0;
+  std::vector<std::string> items;
+  std::vector<std::string> operands;
+};
+
+util::ArgParser make_parser(ParsedArgs& out) {
+  util::ArgParser parser("prog", "test program");
+  parser.add_flag("--verbose", &out.verbose, "talk more");
+  parser.add_value("--name", &out.name, "a string");
+  parser.add_value("--count", &out.count, "an unsigned count");
+  parser.add_value("--offset", &out.offset, "a signed int");
+  parser.add_value("--scale", &out.scale, "a real number");
+  parser.add_list("--item", &out.items, "repeatable");
+  parser.add_positionals(&out.operands, "FILE", "input files");
+  return parser;
+}
+
+TEST(ArgParser, ParsesFlagsValuesListsAndPositionals) {
+  ParsedArgs out;
+  util::ArgParser parser = make_parser(out);
+  std::string error;
+  bool help = true;
+  ASSERT_TRUE(parse_args(parser,
+                         {"a.v", "--verbose", "--name", "x y", "--count",
+                          "12", "--offset", "-3", "--scale", "2.5e-1",
+                          "--item", "p", "b.v", "--item", "q"},
+                         &error, &help))
+      << error;
+  EXPECT_FALSE(help);
+  EXPECT_TRUE(out.verbose);
+  EXPECT_EQ(out.name, "x y");
+  EXPECT_EQ(out.count, 12u);
+  EXPECT_EQ(out.offset, -3);
+  EXPECT_DOUBLE_EQ(out.scale, 0.25);
+  EXPECT_EQ(out.items, (std::vector<std::string>{"p", "q"}));
+  EXPECT_EQ(out.operands, (std::vector<std::string>{"a.v", "b.v"}));
+}
+
+TEST(ArgParser, UnsetOptionsKeepTheirDefaults) {
+  ParsedArgs out;
+  util::ArgParser parser = make_parser(out);
+  std::string error;
+  bool help = true;
+  ASSERT_TRUE(parse_args(parser, {}, &error, &help)) << error;
+  EXPECT_FALSE(help);
+  EXPECT_FALSE(out.verbose);
+  EXPECT_EQ(out.name, "unset");
+  EXPECT_EQ(out.count, 5u);
+  EXPECT_TRUE(out.items.empty());
+  EXPECT_TRUE(out.operands.empty());
+}
+
+TEST(ArgParser, HelpStopsParsingWithoutTouchingTargets) {
+  ParsedArgs out;
+  util::ArgParser parser = make_parser(out);
+  std::string error;
+  bool help = false;
+  ASSERT_TRUE(parse_args(parser, {"--help", "--count", "oops"}, &error,
+                         &help));
+  EXPECT_TRUE(help);
+  EXPECT_EQ(out.count, 5u);
+  const std::string usage = parser.usage();
+  EXPECT_NE(usage.find("usage: prog [options] [FILE...]"), std::string::npos);
+  EXPECT_NE(usage.find("--count N"), std::string::npos);
+  EXPECT_NE(usage.find("--help"), std::string::npos);
+}
+
+TEST(ArgParser, RejectsUnknownArgumentsAndMissingValues) {
+  ParsedArgs out;
+  util::ArgParser parser = make_parser(out);
+  std::string error;
+  bool help = false;
+  EXPECT_FALSE(parse_args(parser, {"--bogus"}, &error, &help));
+  EXPECT_EQ(error, "unknown argument '--bogus'");
+  EXPECT_FALSE(parse_args(parser, {"--count"}, &error, &help));
+  EXPECT_EQ(error, "--count requires a N argument");
+}
+
+// Each malformed number is a usage error naming the value and the flag,
+// and leaves the target at its previous value.
+TEST(ArgParser, RejectsMalformedNumbers) {
+  const std::vector<std::vector<std::string>> cases = {
+      {"--count", "-1"},                     // would wrap to SIZE_MAX
+      {"--count", "12abc"},                  // trailing characters
+      {"--count", "7 "},                     // trailing whitespace
+      {"--count", ""},                       // empty
+      {"--count", "99999999999999999999"},   // exceeds std::size_t
+      {"--offset", "3x"},                    // trailing characters
+      {"--offset", "99999999999"},           // exceeds int
+      {"--offset", "-99999999999"},          // below int
+      {"--scale", "1.5ms"},                  // trailing characters
+      {"--scale", "1e999"},                  // exceeds double
+      {"--scale", "abc"},                    // not a number
+  };
+  for (const std::vector<std::string>& args : cases) {
+    SCOPED_TRACE(args[0] + " '" + args[1] + "'");
+    ParsedArgs out;
+    util::ArgParser parser = make_parser(out);
+    std::string error;
+    bool help = false;
+    EXPECT_FALSE(parse_args(parser, args, &error, &help));
+    EXPECT_EQ(error, "invalid value '" + args[1] + "' for " + args[0]);
+    EXPECT_EQ(out.count, 5u);
+    EXPECT_EQ(out.offset, 0);
+    EXPECT_DOUBLE_EQ(out.scale, 1.0);
+  }
+}
+
+TEST(ArgParser, AcceptsNumbersAtTheEdgesOfTheirRange) {
+  ParsedArgs out;
+  util::ArgParser parser = make_parser(out);
+  std::string error;
+  bool help = false;
+  constexpr std::size_t kMaxSize = std::numeric_limits<std::size_t>::max();
+  constexpr int kMinInt = std::numeric_limits<int>::min();
+  ASSERT_TRUE(parse_args(parser,
+                         {"--count", std::to_string(kMaxSize), "--offset",
+                          std::to_string(kMinInt), "--scale", "-0.5"},
+                         &error, &help))
+      << error;
+  EXPECT_EQ(out.count, kMaxSize);
+  EXPECT_EQ(out.offset, kMinInt);
+  EXPECT_DOUBLE_EQ(out.scale, -0.5);
 }
 
 }  // namespace
