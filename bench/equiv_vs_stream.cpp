@@ -16,6 +16,9 @@
 // stream simulated once per stream length and shared across mutants. That
 // buys L streams of coverage for roughly one run's wall clock.
 //
+// Exit status 1 when SEC misses a mutation the ground-truth stream
+// observes: SEC's detection rate is a gate, not just a printed row.
+//
 //   $ ./bench/equiv_vs_stream [circuit] [mutations] [--lanes L]
 #include <cstdio>
 #include <cstdlib>
@@ -198,17 +201,10 @@ int main(int argc, char** argv) {
 
       std::size_t detected = 0, missed = 0, beyond = 0;
       Stopwatch watch;
-      SimOptions golden_options;
-      golden_options.snapshot_event =
-          golden.clocks().phases.size() == 3 ? 1 : 0;
-      WideSimulator golden_sim(golden, lanes, golden_options);
+      WideSimulator golden_sim(golden, lanes);
       const OutputStream a = run_wide_stream(golden_sim, packed, 0);
       for (std::size_t k = 0; k < mutations.size(); ++k) {
-        SimOptions mutant_options;
-        mutant_options.snapshot_event =
-            mutations[k].netlist.clocks().phases.size() == 3 ? 1 : 0;
-        WideSimulator mutant_sim(mutations[k].netlist, lanes,
-                                 mutant_options);
+        WideSimulator mutant_sim(mutations[k].netlist, lanes);
         const OutputStream b = run_wide_stream(mutant_sim, packed, 0);
         const bool flagged = first_mismatch(a, b) >= 0;
         detected += flagged && is_breaking[k];
@@ -231,6 +227,7 @@ int main(int argc, char** argv) {
   // truth calls "unobservable" is not a false alarm: the cex is replayed on
   // the reference simulator before SEC reports it, so it found a divergence
   // beyond the 5000-cycle horizon (or off the sampled stimulus path).
+  std::size_t sec_missed = 0;
   {
     std::size_t detected = 0, missed = 0, beyond = 0, unknown = 0;
     Stopwatch watch;
@@ -252,6 +249,14 @@ int main(int argc, char** argv) {
     }
     if (unknown) std::printf("   (%zu unknown)", unknown);
     std::printf("\n");
+    sec_missed = missed;
+  }
+  if (sec_missed > 0) {
+    std::fprintf(stderr,
+                 "SEC gate: missed %zu mutation(s) the %zu-cycle ground "
+                 "truth observes\n",
+                 sec_missed, kGroundTruthCycles);
+    return 1;
   }
   return 0;
 }

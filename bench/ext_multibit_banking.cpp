@@ -64,9 +64,7 @@ int main(int argc, char** argv) {
         bench, plan.workload, (cycles + lanes - 1) / lanes,
         lane_seed(r.task.seed, 0));
     const Placement placement = place(r.result.netlist, lib);
-    SimOptions opt;
-    opt.snapshot_event = 1;
-    Simulator sim(r.result.netlist, opt);
+    Simulator sim(r.result.netlist);
     run_stream(sim, stim, 16);
 
     const BankingReport b =

@@ -56,9 +56,7 @@ int main(int argc, char** argv) {
     Rng rng(static_cast<std::uint64_t>(depth));
     const Stimulus stim = random_stimulus(1, 96, rng, 0.5);
     Simulator ff_sim(ff);
-    SimOptions opt;
-    opt.snapshot_event = 1;
-    Simulator p3_sim(r.netlist, opt);
+    Simulator p3_sim(r.netlist);
     const bool equal = streams_equal(run_stream(ff_sim, stim, 8),
                                      run_stream(p3_sim, stim, 8));
     std::printf("%6d %6d %10zu %10d %10d %8s\n", depth, depth,

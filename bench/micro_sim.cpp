@@ -32,7 +32,6 @@ namespace {
 struct StyleCase {
   std::string label;
   Netlist netlist{"case"};
-  int snapshot_event = 0;
 };
 
 /// Builds one simulation target per requested backend, through the same
@@ -64,10 +63,6 @@ StyleCase make_case(const circuits::Benchmark& bench,
       .activity = [] { return ActivityStats{}; },  // fast(): DDCG is off
   };
   backend->convert(ctx);
-  // Multi-phase plans snapshot at the second clock event, single-phase
-  // plans at reset; mirrors run_flow()'s simulation setup.
-  result.snapshot_event =
-      result.netlist.clocks().phases.size() >= 2 ? 1 : 0;
   return result;
 }
 
@@ -139,12 +134,9 @@ int main(int argc, char** argv) {
       }
       for (const std::string& style : backends_arg) {
         const StyleCase target = make_case(bench, style);
-        SimOptions options;
-        options.snapshot_event = target.snapshot_event;
-
         // Scalar reference: one run per lane, streams concatenated
         // lane-major (exactly what the flow's scalar fallback does).
-        Simulator scalar(target.netlist, options);
+        Simulator scalar(target.netlist);
         OutputStream scalar_stream;
         double scalar_s = 0;
         for (std::size_t r = 0; r < repeat; ++r) {
@@ -161,7 +153,7 @@ int main(int argc, char** argv) {
         }
 
         // Wide engine: every lane in one pass.
-        WideSimulator wide(target.netlist, lanes, options);
+        WideSimulator wide(target.netlist, lanes);
         const WideStimulus packed = pack_stimulus(stimuli);
         OutputStream wide_stream;
         double wide_s = 0;

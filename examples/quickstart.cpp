@@ -60,9 +60,7 @@ int main() {
   Rng rng(2024);
   const Stimulus stimulus = random_stimulus(2, 256, rng, 0.4);
   Simulator ff_sim(ff);
-  SimOptions latch_options;
-  latch_options.snapshot_event = 1;  // 3-phase snapshot instant
-  Simulator latch_sim(latch_design, latch_options);
+  Simulator latch_sim(latch_design);
   const bool equal = streams_equal(run_stream(ff_sim, stimulus, 8),
                                    run_stream(latch_sim, stimulus, 8));
   std::printf("output streams identical: %s\n", equal ? "YES" : "NO");

@@ -10,76 +10,18 @@
 namespace tp::analysis {
 namespace {
 
-// Clock paths are shallow trees (root -> ICGs -> buffers); the cap only
-// guards against malformed clock-network loops.
-constexpr int kMaxWalkSteps = 1024;
-constexpr int kMaxDivideRatio = 1 << 20;
 // A5: how many combinational levels downstream of a synchronizer the
 // reconvergence search follows.
 constexpr int kReconvergeDepth = 8;
 
-struct ClockWalk {
-  bool found = false;
-  NetId root;
-  Phase phase = Phase::kNone;
-  bool inverted = false;
-  int divide_ratio = 1;
-};
-
-/// Backward walk from a clock pin to a phase root. Mirrors the kind
-/// dispatch of check::RuleContext::clock_trace (clock buffers pass,
-/// inverters flip, ICGs follow their clock input, dividers halve the rate
-/// without inverting); anything else ends the walk unresolved.
-ClockWalk trace_clock(const Netlist& netlist, NetId start) {
-  ClockWalk walk;
-  NetId at = start;
-  bool inverted = false;
-  int ratio = 1;
-  for (int step = 0; step < kMaxWalkSteps; ++step) {
-    for (const PhaseWaveform& wave : netlist.clocks().phases) {
-      if (wave.root == at) {
-        walk.found = true;
-        walk.root = at;
-        walk.phase = wave.phase;
-        walk.inverted = inverted;
-        walk.divide_ratio = ratio;
-        return walk;
-      }
-    }
-    const CellId driver = netlist.net(at).driver;
-    if (!driver.valid()) return walk;
-    const Cell& cell = netlist.cell(driver);
-    switch (cell.kind) {
-      case CellKind::kClkBuf:
-        at = cell.ins[0];
-        break;
-      case CellKind::kClkInv:
-        inverted = !inverted;
-        at = cell.ins[0];
-        break;
-      case CellKind::kIcg:
-      case CellKind::kIcgM1:
-      case CellKind::kIcgNoLatch:
-        at = cell.ins[1];
-        break;
-      case CellKind::kClkDiv2:
-        if (ratio < kMaxDivideRatio) ratio *= 2;
-        at = cell.ins[0];
-        break;
-      default:
-        return walk;  // constant- or data-driven clock: not A4's business
-    }
-  }
-  return walk;
-}
-
 /// Backward walk from a register's associated reset net to a declared
 /// ResetRoot, through plain/clock buffers and inverters (inverters flip
-/// the effective sense).
+/// the effective sense). Like trace_clock(), a walk longer than the net
+/// count is a loop and finds no root.
 void trace_reset(const Netlist& netlist, NetId start, DomainLabel* label) {
   NetId at = start;
   bool flipped = false;
-  for (int step = 0; step < kMaxWalkSteps; ++step) {
+  for (std::size_t step = 0; step <= netlist.num_nets(); ++step) {
     for (const ResetRoot& root : netlist.reset_roots()) {
       if (root.net == at) {
         label->reset_root = at;
@@ -110,8 +52,9 @@ void trace_reset(const Netlist& netlist, NetId start, DomainLabel* label) {
 DomainLabel infer_label(const Netlist& netlist, CellId reg) {
   const Cell& cell = netlist.cell(reg);
   DomainLabel label;
-  const ClockWalk walk = trace_clock(netlist, cell.ins[clock_pin(cell.kind)]);
-  if (walk.found) {
+  const ClockTrace walk =
+      trace_clock(netlist, cell.ins[clock_pin(cell.kind)]);
+  if (walk.kind == ClockTraceKind::kPhaseRoot) {
     label.clocked = true;
     label.clock_root = walk.root;
     label.phase = walk.phase;
@@ -300,11 +243,6 @@ void rule_cdc_unsync(check::RuleContext& ctx, const AnalysisOptions& options,
   budget.finish();
 }
 
-void rule_cdc_unsync(check::RuleContext& ctx,
-                     const AnalysisOptions& options) {
-  rule_cdc_unsync(ctx, options, infer_domains(ctx.netlist()));
-}
-
 // --- A5: cdc-reconverge -----------------------------------------------------
 
 void rule_cdc_reconverge(check::RuleContext& ctx,
@@ -367,11 +305,6 @@ void rule_cdc_reconverge(check::RuleContext& ctx,
   budget.finish();
 }
 
-void rule_cdc_reconverge(check::RuleContext& ctx,
-                         const AnalysisOptions& options) {
-  rule_cdc_reconverge(ctx, options, infer_domains(ctx.netlist()));
-}
-
 // --- A6: rdc-crossing -------------------------------------------------------
 
 void rule_rdc_crossing(check::RuleContext& ctx,
@@ -411,11 +344,6 @@ void rule_rdc_crossing(check::RuleContext& ctx,
     }
   }
   budget.finish();
-}
-
-void rule_rdc_crossing(check::RuleContext& ctx,
-                       const AnalysisOptions& options) {
-  rule_rdc_crossing(ctx, options, infer_domains(ctx.netlist()));
 }
 
 }  // namespace tp::analysis

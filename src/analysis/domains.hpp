@@ -2,9 +2,10 @@
 //
 // infer_domains() walks every sequential cell's clock pin backward through
 // the clock network — buffers, inverters, ICG/DDCG gates, and kClkDiv2
-// dividers — to a declared phase root, and its associated reset net (see
-// Netlist::set_reset) backward through buffers/inverters to a declared
-// ResetRoot. The result is one DomainLabel per register:
+// dividers — to a declared phase root (trace_clock(), the walk the lint
+// rules use too), and its associated reset net (see Netlist::set_reset)
+// backward through buffers/inverters to a declared ResetRoot. The result
+// is one DomainLabel per register:
 //
 //   (clock_root, divide_ratio, phase_token, reset_root, reset_sense)
 //
@@ -92,19 +93,13 @@ std::string domain_table_json(const Netlist& netlist,
 /// full per-register table would dominate the payload bytes.
 std::string domain_summary_json(const DomainTable& table);
 
-/// A4/A5/A6 entry points, mirroring rule_xprop & co. The overloads taking
-/// a DomainTable let run_analysis() share one inference pass across the
-/// three rules; the two-argument forms infer a fresh table.
-void rule_cdc_unsync(check::RuleContext& ctx, const AnalysisOptions& options);
+/// A4/A5/A6 entry points, mirroring rule_xprop & co. run_analysis()
+/// infers one DomainTable and shares it across the three rules.
 void rule_cdc_unsync(check::RuleContext& ctx, const AnalysisOptions& options,
                      const DomainTable& table);
 void rule_cdc_reconverge(check::RuleContext& ctx,
-                         const AnalysisOptions& options);
-void rule_cdc_reconverge(check::RuleContext& ctx,
                          const AnalysisOptions& options,
                          const DomainTable& table);
-void rule_rdc_crossing(check::RuleContext& ctx,
-                       const AnalysisOptions& options);
 void rule_rdc_crossing(check::RuleContext& ctx,
                        const AnalysisOptions& options,
                        const DomainTable& table);

@@ -73,62 +73,9 @@ void RuleContext::emit(RuleId rule, Severity severity, std::string message,
 }
 
 const ClockTrace& RuleContext::clock_trace(NetId net) {
-  const auto memo = trace_memo_.find(net.value());
-  if (memo != trace_memo_.end()) return memo->second;
-
-  ClockTrace trace;
-  // Phase roots terminate the walk.
-  for (const PhaseWaveform& wave : netlist_.clocks().phases) {
-    if (wave.root == net) {
-      trace.kind = ClockTraceKind::kPhaseRoot;
-      trace.phase = wave.phase;
-      return trace_memo_.emplace(net.value(), trace).first->second;
-    }
-  }
-  // Cycle guard: a loop in the clock network never reaches a root.
-  if (std::find(trace_stack_.begin(), trace_stack_.end(), net.value()) !=
-      trace_stack_.end()) {
-    trace.kind = ClockTraceKind::kData;
-    return trace_memo_.emplace(net.value(), trace).first->second;
-  }
-
-  const CellId driver_id = netlist_.net(net).driver;
-  if (!driver_id.valid()) {
-    trace.kind = ClockTraceKind::kFloating;
-    return trace_memo_.emplace(net.value(), trace).first->second;
-  }
-  const Cell& driver = netlist_.cell(driver_id);
-  trace_stack_.push_back(net.value());
-  switch (driver.kind) {
-    case CellKind::kClkBuf:
-      trace = clock_trace(driver.ins[0]);
-      break;
-    case CellKind::kClkInv:
-      trace = clock_trace(driver.ins[0]);
-      trace.inverted = !trace.inverted;
-      break;
-    case CellKind::kIcg:
-    case CellKind::kIcgM1:
-    case CellKind::kIcgNoLatch:
-      trace = clock_trace(driver.ins[1]);
-      break;
-    case CellKind::kClkDiv2:
-      // Halved frequency, but still the same phase root; dividers never
-      // invert (state starts low, first toggle on the first rise).
-      trace = clock_trace(driver.ins[0]);
-      break;
-    case CellKind::kConst0:
-    case CellKind::kConst1:
-      trace.kind = ClockTraceKind::kConstant;
-      trace.constant_value = driver.kind == CellKind::kConst1;
-      break;
-    default:
-      // Data gates and non-root primary inputs do not clock anything.
-      trace.kind = ClockTraceKind::kData;
-      break;
-  }
-  trace_stack_.pop_back();
-  return trace_memo_.emplace(net.value(), trace).first->second;
+  const auto [it, inserted] = trace_memo_.try_emplace(net.value());
+  if (inserted) it->second = trace_clock(netlist_, net);
+  return it->second;
 }
 
 bool RuleContext::has_comb_cycle() {

@@ -42,21 +42,6 @@ bool windows_overlap(const WindowSet& a, const WindowSet& b);
 WindowSet phase_high_window(const ClockSpec& clocks, Phase phase,
                             bool inverted);
 
-/// What a backward walk from a clock pin reaches.
-enum class ClockTraceKind {
-  kPhaseRoot,  // exactly one phase root (the only legal outcome)
-  kConstant,   // kConst0/kConst1
-  kFloating,   // an undriven net
-  kData,       // data logic, a non-root input, or a clock-net cycle
-};
-
-struct ClockTrace {
-  ClockTraceKind kind = ClockTraceKind::kData;
-  Phase phase = Phase::kNone;  // for kPhaseRoot
-  bool inverted = false;       // odd number of kClkInv on the path
-  bool constant_value = false; // for kConstant
-};
-
 class RuleContext {
  public:
   RuleContext(const Netlist& netlist, const CheckOptions& options);
@@ -74,7 +59,7 @@ class RuleContext {
             std::vector<std::string> cells, std::vector<std::string> nets,
             std::string hint);
 
-  /// Backward walk from a clock-pin net to its root; memoized per net.
+  /// trace_clock() from a clock-pin net, memoized per net.
   const ClockTrace& clock_trace(NetId net);
 
   /// True when the netlist has a combinational cycle (memoized). Rules that
@@ -112,7 +97,6 @@ class RuleContext {
   const CheckOptions& options_;
   std::vector<Diagnostic> diags_;
   std::unordered_map<std::uint32_t, ClockTrace> trace_memo_;
-  std::vector<std::uint32_t> trace_stack_;  // cycle guard for the walk
   bool comb_cycle_known_ = false;
   bool comb_cycle_ = false;
   std::vector<CellId> comb_cycle_path_;

@@ -57,9 +57,7 @@ std::vector<std::size_t> map_data_inputs(const Netlist& from,
 
 OutputStream simulate_outputs(const Netlist& netlist,
                               const Stimulus& stimulus) {
-  SimOptions options;
-  options.snapshot_event = netlist.clocks().phases.size() == 3 ? 1 : 0;
-  WideSimulator sim(netlist, 1, options);  // constructor runs reset()
+  WideSimulator sim(netlist, 1);  // constructor runs reset()
   const WideStimulus packed = pack_stimulus({&stimulus, 1});
   OutputStream stream;
   stream.reserve(stimulus.size());

@@ -7,6 +7,7 @@
 #include <unordered_set>
 
 #include "src/equiv/sat.hpp"
+#include "src/sim/schedule.hpp"
 #include "src/sim/wide_sim.hpp"
 #include "src/util/log.hpp"
 #include "src/util/rng.hpp"
@@ -24,41 +25,16 @@ Lit apply_map(const std::vector<Lit>& map, Lit l) {
 
 Lit const_lit(bool v) { return v ? kLitTrue : kLitFalse; }
 
-/// Distinct phase-edge times inside one cycle, ascending, always including 0
-/// (mirrors the simulator's event schedule).
-std::vector<std::int64_t> edge_times(const ClockSpec& clocks) {
-  std::vector<std::int64_t> times{0};
-  for (const PhaseWaveform& w : clocks.phases) {
-    times.push_back(w.rise_ps % clocks.period_ps);
-    times.push_back(w.fall_ps % clocks.period_ps);
-  }
-  std::sort(times.begin(), times.end());
-  times.erase(std::unique(times.begin(), times.end()), times.end());
-  return times;
-}
-
-bool phase_level(const PhaseWaveform& w, std::int64_t period, std::int64_t t) {
-  const std::int64_t rise = w.rise_ps % period;
-  const std::int64_t fall = w.fall_ps % period;
-  if (rise <= fall) return rise <= t && t < fall;
-  return t >= rise || t < fall;  // wrapping waveform
-}
-
-int snapshot_event_index(const Netlist& netlist) {
-  // Mirrors flow::simulate(): multi-phase plans (3-phase, two-phase)
-  // capture outputs after the second event of the cycle.
-  return netlist.clocks().phases.size() >= 2 ? 1 : 0;
-}
-
 // ---------------------------------------------------------------------------
 // One-cycle symbolic execution.
 //
-// Replays the simulator's schedule with AIG literals instead of bits: a park
-// pseudo-event reconstructs the settled end-of-previous-cycle network from
-// the abstract state variables, then each phase-edge event runs (1) clock
-// sampling + atomic edge-register update from pre-event values, (2) a full
-// recursive settle of every live net with level-transparent latches and ICG
-// enable latches folded in as multiplexer functions.
+// Replays the simulator's schedule (src/sim/schedule.hpp) with AIG literals
+// instead of bits: a park pseudo-event reconstructs the settled
+// end-of-previous-cycle network from the abstract state variables, then
+// each phase-edge event runs (1) clock sampling + atomic edge-register
+// update from pre-event values, (2) a full recursive settle of every live
+// net with level-transparent latches and ICG enable latches folded in as
+// multiplexer functions.
 // ---------------------------------------------------------------------------
 
 class CycleBuilder {
@@ -74,7 +50,7 @@ class CycleBuilder {
     discover_state();
     index_nets();
     run_park();
-    const int snapshot = std::min(snapshot_event_index(nl_),
+    const int snapshot = std::min(snapshot_event(nl_.clocks()),
                                   static_cast<int>(times_.size()) - 1);
     for (std::size_t e = 0; e < times_.size(); ++e) {
       run_event(times_[e]);

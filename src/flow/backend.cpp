@@ -404,14 +404,16 @@ check::RuleId ConversionBackend::seed_cdc_violation(Netlist& netlist) const {
                     "'"));
   }
   const CellId victim = regs.front();
+  // Copied out: add_gate() may reallocate the cell storage.
   const Cell& victim_cell = netlist.cell(victim);
   const NetId victim_clk = victim_cell.ins[clock_pin(victim_cell.kind)];
   const NetId victim_d = victim_cell.ins[0];
+  const Phase victim_phase = victim_cell.phase;
   const CellId divider =
       netlist.add_gate(CellKind::kClkDiv2, "cdc_seed_div", {victim_clk});
   const CellId src = netlist.add_gate(
       CellKind::kDff, "cdc_seed_src",
-      {victim_d, netlist.cell(divider).out}, victim_cell.phase);
+      {victim_d, netlist.cell(divider).out}, victim_phase);
   const CellId mix = netlist.add_gate(
       CellKind::kAnd2, "cdc_seed_mix",
       {victim_d, netlist.cell(src).out});

@@ -19,12 +19,7 @@ namespace {
 OutputStream simulate(const Netlist& netlist, std::span<const Stimulus> lanes,
                       std::size_t warmup, std::ostream* vcd,
                       ActivityStats* activity_out) {
-  SimOptions options;
-  // Single-phase plans update registers at the t=0 event; multi-phase plans
-  // (3-phase p1, two-phase slave) open the cycle's first capturing latch at
-  // the second event, so the output snapshot waits for it.
-  options.snapshot_event = netlist.clocks().phases.size() >= 2 ? 1 : 0;
-  WideSimulator sim(netlist, lanes.size(), options);
+  WideSimulator sim(netlist, lanes.size());
   if (vcd != nullptr) sim.start_vcd(*vcd);
   OutputStream stream = run_wide_stream(sim, pack_stimulus(lanes), warmup);
   sim.stop_vcd();

@@ -279,4 +279,54 @@ std::unordered_map<std::uint32_t, std::vector<CellId>> icg_enable_sources(
   return result;
 }
 
+ClockTrace trace_clock(const Netlist& netlist, NetId net) {
+  constexpr int kMaxDivideRatio = 1 << 20;
+  ClockTrace trace;
+  for (std::size_t step = 0; step <= netlist.num_nets(); ++step) {
+    for (const PhaseWaveform& wave : netlist.clocks().phases) {
+      if (wave.root == net) {
+        trace.kind = ClockTraceKind::kPhaseRoot;
+        trace.root = net;
+        trace.phase = wave.phase;
+        return trace;
+      }
+    }
+    const CellId driver = netlist.net(net).driver;
+    if (!driver.valid()) {
+      trace.kind = ClockTraceKind::kFloating;
+      return trace;
+    }
+    const Cell& cell = netlist.cell(driver);
+    switch (cell.kind) {
+      case CellKind::kClkBuf:
+        net = cell.ins[0];
+        break;
+      case CellKind::kClkInv:
+        trace.inverted = !trace.inverted;
+        net = cell.ins[0];
+        break;
+      case CellKind::kIcg:
+      case CellKind::kIcgM1:
+      case CellKind::kIcgNoLatch:
+        net = cell.ins[1];
+        break;
+      case CellKind::kClkDiv2:
+        // Same phase root at half the rate; dividers never invert (state
+        // starts low, first toggle on the first rise).
+        if (trace.divide_ratio < kMaxDivideRatio) trace.divide_ratio *= 2;
+        net = cell.ins[0];
+        break;
+      case CellKind::kConst0:
+      case CellKind::kConst1:
+        trace.kind = ClockTraceKind::kConstant;
+        trace.constant_value = cell.kind == CellKind::kConst1;
+        return trace;
+      default:
+        // Data gates and non-root primary inputs do not clock anything.
+        return trace;
+    }
+  }
+  return trace;  // more steps than nets: the walk is circling a loop
+}
+
 }  // namespace tp

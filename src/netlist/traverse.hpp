@@ -1,5 +1,6 @@
-// Netlist traversal: combinational levelization and the register-to-register
-// connectivity graph that feeds the phase-assignment ILP.
+// Netlist traversal: combinational levelization, the register-to-register
+// connectivity graph that feeds the phase-assignment ILP, and the backward
+// clock walk the lint rules and domain inference share.
 #pragma once
 
 #include <unordered_map>
@@ -74,5 +75,29 @@ std::vector<CellId> pin_fanin_sources(const Netlist& netlist, CellId cell,
 /// Registers (and data PIs) with a combinational path to `net`.
 std::vector<CellId> pin_fanin_sources_of_net(const Netlist& netlist,
                                              NetId net);
+
+/// What a backward walk from a clock pin reaches.
+enum class ClockTraceKind {
+  kPhaseRoot,  // exactly one phase root (the only legal outcome)
+  kConstant,   // kConst0/kConst1
+  kFloating,   // an undriven net
+  kData,       // data logic, a non-root input, or a clock-net loop
+};
+
+struct ClockTrace {
+  ClockTraceKind kind = ClockTraceKind::kData;
+  NetId root;                   // for kPhaseRoot
+  Phase phase = Phase::kNone;   // for kPhaseRoot
+  bool inverted = false;        // odd number of kClkInv on the path
+  int divide_ratio = 1;         // 2^(kClkDiv2 on the path), capped at 2^20
+  bool constant_value = false;  // for kConstant
+};
+
+/// Backward walk from a clock-pin net to what drives it: clock buffers
+/// pass, inverters flip, ICGs follow their clock input, and dividers halve
+/// the rate without inverting. Iterative, so clock-buffer chains of any
+/// depth are safe; a walk longer than the net count is a clock-network loop
+/// and returns kData.
+ClockTrace trace_clock(const Netlist& netlist, NetId net);
 
 }  // namespace tp

@@ -337,8 +337,8 @@ class Parser {
   void parse_assign_rhs(Netlist& netlist, const std::string& lhs) {
     if (token_.kind == Token::kLiteral) {
       const bool one = token_.text == "1'b1";
-      require(one || token_.text == "1'b0",
-              error("only 1'b0 / 1'b1 constants supported"));
+      expect_that(one || token_.text == "1'b0",
+                  "only 1'b0 / 1'b1 constants supported");
       advance();
       netlist.add_cell(one ? CellKind::kConst1 : CellKind::kConst0,
                        "const_" + lhs, {}, net(netlist, lhs));
@@ -353,7 +353,7 @@ class Parser {
     const std::string type = expect(Token::kIdent).text;
     bool known = false;
     const CellKind kind = kind_for_type(type, known);
-    require(known, error(cat("unknown cell type ", type)));
+    expect_that(known, "unknown cell type ", type);
     bool init = false;
     if (is_punct("#")) {  // #(.INIT(1'b1))
       advance();
@@ -384,13 +384,12 @@ class Parser {
     std::vector<NetId> ins;
     for (const char* pin : pins->inputs) {
       const auto it = connections.find(pin);
-      require(it != connections.end(),
-              error(cat(instance, ": missing pin ", pin)));
+      expect_that(it != connections.end(), instance, ": missing pin ", pin);
       ins.push_back(net(netlist, it->second));
     }
     const auto out_it = connections.find(pins->output);
-    require(out_it != connections.end(),
-            error(cat(instance, ": missing output pin ", pins->output)));
+    expect_that(out_it != connections.end(), instance,
+                ": missing output pin ", pins->output);
     const CellId id = netlist.add_cell(kind, instance, std::move(ins),
                                        net(netlist, out_it->second));
     if (init) netlist.set_init(id, true);
@@ -401,8 +400,8 @@ class Parser {
       const auto it = std::find_if(
           pending_assigns_.begin(), pending_assigns_.end(),
           [&](const auto& a) { return a.first == port; });
-      require(it != pending_assigns_.end(),
-              error(cat("output ", port, " has no assign")));
+      expect_that(it != pending_assigns_.end(), "output ", port,
+                  " has no assign");
       netlist.add_output(port, net(netlist, it->second));
     }
   }
@@ -411,11 +410,10 @@ class Parser {
     ClockSpec spec;
     for (const Lexer::ClockDirective& d : lexer_.clock_directives) {
       const auto it = nets_.find(d.net);
-      require(it != nets_.end(),
-              error(cat("tp-clock names unknown net ", d.net)));
+      expect_that(it != nets_.end(), "tp-clock names unknown net ", d.net);
       const Phase phase = phase_by_name(d.phase);
-      require(phase != Phase::kNone,
-              error(cat("tp-clock names unknown phase ", d.phase)));
+      expect_that(phase != Phase::kNone, "tp-clock names unknown phase ",
+                  d.phase);
       spec.period_ps = d.period;
       spec.phases.push_back({phase, it->second, d.rise, d.fall});
       const CellId driver = netlist.net(it->second).driver;
@@ -463,24 +461,26 @@ class Parser {
   }
 
   Token expect(Token::Kind kind) {
-    require(token_.kind == kind, error("unexpected token '" + token_.text +
-                                       "'"));
+    expect_that(token_.kind == kind, "unexpected token '", token_.text, "'");
     Token t = token_;
     advance();
     return t;
   }
   void expect_ident(const char* text) {
-    require(is_ident(text), error(cat("expected '", text, "'")));
+    expect_that(is_ident(text), "expected '", text, "'");
     advance();
   }
   void expect_punct(const char* text) {
-    require(is_punct(text), error(cat("expected '", text, "', got '",
-                                      token_.text, "'")));
+    expect_that(is_punct(text), "expected '", text, "', got '", token_.text,
+                "'");
     advance();
   }
 
-  [[nodiscard]] std::string error(const std::string& message) const {
-    return cat("verilog:", token_.line, ": ", message);
+  /// Throws a tp::Error located at the current line unless `ok`. The
+  /// message is built only on failure: the parser checks every token.
+  template <class... Args>
+  void expect_that(bool ok, const Args&... message) const {
+    if (!ok) throw Error(cat("verilog:", token_.line, ": ", message...));
   }
 
   NetId net(Netlist& netlist, const std::string& name) {

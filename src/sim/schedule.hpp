@@ -1,7 +1,10 @@
-// Intra-cycle event schedule shared by the scalar Simulator and the
-// bit-parallel WideSimulator. Keeping these in one place is what makes the
-// two engines' event schedules identical by construction — a precondition
-// of the wide engine's bit-identity contract (docs/simulation.md).
+// Intra-cycle event schedule: the one definition shared by the scalar
+// Simulator, the bit-parallel WideSimulator and the SEC cycle builder
+// (src/equiv/sec.cpp). Keeping it in one place is what makes the engines'
+// event schedules and output snapshots identical by construction — a
+// precondition of the wide engine's bit-identity contract and of trusting
+// SEC proofs and counterexample replays (docs/simulation.md,
+// docs/equivalence.md).
 #pragma once
 
 #include <algorithm>
@@ -10,7 +13,7 @@
 
 #include "src/netlist/netlist.hpp"
 
-namespace tp::sim_detail {
+namespace tp {
 
 /// Distinct phase-edge times inside one cycle, ascending, always including
 /// 0 (the cycle-boundary event at which primary inputs change).
@@ -35,4 +38,14 @@ inline bool phase_level(const PhaseWaveform& w, std::int64_t period,
   return t >= rise || t < fall;  // wrapping waveform
 }
 
-}  // namespace tp::sim_detail
+/// Index into edge_times() of the event after which primary outputs are
+/// snapshotted. Single-phase plans (FF, master-slave, pulsed latch, DET)
+/// update registers at the t = 0 event, so every register output carries
+/// the cycle-n state once it settles. Multi-phase plans (3-phase p1,
+/// two-phase slave) open the cycle's first capturing latch at the second
+/// event, so the snapshot waits for it. Callers clamp to the last event.
+inline int snapshot_event(const ClockSpec& clocks) {
+  return clocks.phases.size() >= 2 ? 1 : 0;
+}
+
+}  // namespace tp

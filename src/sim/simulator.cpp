@@ -6,9 +6,6 @@
 
 namespace tp {
 
-using sim_detail::edge_times;
-using sim_detail::phase_level;
-
 Simulator::Simulator(const Netlist& netlist, SimOptions options)
     : netlist_(netlist), options_(options) {
   require(netlist_.clocks().period_ps > 0,
@@ -97,8 +94,9 @@ void Simulator::step(std::span<const std::uint8_t> pi_values) {
           "Simulator::step: wrong number of PI values");
   ++stats_.cycles;
 
-  const int snapshot_event = std::min(
-      options_.snapshot_event, static_cast<int>(event_times_.size()) - 1);
+  const int snapshot = std::min(
+      options_.snapshot_event.value_or(snapshot_event(netlist_.clocks())),
+      static_cast<int>(event_times_.size()) - 1);
   int event_index = 0;
   for (const std::int64_t t : event_times_) {
     evals_this_event_ = 0;
@@ -137,7 +135,7 @@ void Simulator::step(std::span<const std::uint8_t> pi_values) {
     // 4. Data propagation (handles nested clock events from illegal gating).
     propagate_data();
 
-    if (event_index == snapshot_event) {
+    if (event_index == snapshot) {
       const auto& outs = netlist_.outputs();
       for (std::size_t i = 0; i < outs.size(); ++i) {
         po_snapshot_[i] = value(netlist_.cell(outs[i]).ins[0]) ? 1 : 0;

@@ -13,24 +13,26 @@
 //    zero delay — the ideal post-CTS clock assumption. Registers on nets
 //    that rise in the same instant sample atomically (read-all-then-write),
 //    so shift chains behave correctly.
-//  - Data propagates with unit gate delay (configurable to zero-delay
-//    delta cycles), so combinational glitches are visible in the toggle
-//    statistics — glitch power is one of the effects the paper discusses.
+//  - Data propagates with unit gate delay, so combinational glitches are
+//    visible in the toggle statistics — glitch power is one of the effects
+//    the paper discusses.
 //  - Within one clock cycle the simulator processes one event per distinct
 //    phase edge time; primary inputs change at t = 0 (the paper treats PIs
 //    as if clocked by p1).
 //
 // Output-stream protocol: primary outputs are snapshotted after the event
-// selected by SimOptions::snapshot_event settles. For FF and master-slave
-// designs the t = 0 event (index 0) is the instant at which every register
-// output carries the logical cycle-n state. For 3-phase designs that instant
-// is after the T/3 event (index 1): p1 latches have closed on x_n, p3
-// latches still hold x_n, and the inserted p2 latches are transparent and
-// pass x_n — so all register-side signals agree with the FF design's
+// snapshot_event() (src/sim/schedule.hpp) derives from the clock plan
+// settles. For single-phase designs (FF, master-slave) the t = 0 event
+// (index 0) is the instant at which every register output carries the
+// logical cycle-n state. For multi-phase designs that instant is after the
+// second event (index 1; T/3 for 3-phase): p1 latches have closed on x_n,
+// p3 latches still hold x_n, and the inserted p2 latches are transparent
+// and pass x_n — so all register-side signals agree with the FF design's
 // cycle-n state and the styles are directly comparable.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -39,19 +41,12 @@
 namespace tp {
 
 struct SimOptions {
-  /// Unit gate delay (glitch-accurate) vs. zero-delay delta cycles. The
-  /// wave structure is the same in both modes, and every wave is evaluated
-  /// in canonical ascending cell-id order — the order the bit-parallel
-  /// WideSimulator uses, so lane-decomposed runs stay bit-identical to
-  /// scalar runs (see docs/simulation.md) — which makes the two modes
-  /// produce identical streams and toggle statistics.
-  bool unit_delay = true;
   /// Abort threshold for non-settling (oscillating) propagation.
   std::uint64_t max_evals_per_event = 50'000'000;
-  /// Index of the intra-cycle event after which primary outputs are
-  /// snapshotted (see the output-stream protocol above). 0 for FF and
-  /// master-slave designs, 1 for 3-phase designs.
-  int snapshot_event = 0;
+  /// Overrides the event index after which primary outputs are snapshotted
+  /// (clamped to the cycle's last event). Unset derives it from the clock
+  /// plan with snapshot_event(), the rule every flow, SEC and replay uses.
+  std::optional<int> snapshot_event;
 };
 
 /// Per-net toggle counts accumulated over simulated cycles.
@@ -81,8 +76,9 @@ class Simulator {
   /// and held for the cycle.
   void step(std::span<const std::uint8_t> pi_values);
 
-  /// Primary-output snapshot taken after the t = 0 event of the last step()
-  /// (see the output-stream protocol above), in Netlist::outputs() order.
+  /// Primary-output snapshot of the last step(), taken after the snapshot
+  /// event (see the output-stream protocol above), in Netlist::outputs()
+  /// order.
   [[nodiscard]] const std::vector<std::uint8_t>& outputs() const {
     return po_snapshot_;
   }

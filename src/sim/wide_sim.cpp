@@ -31,7 +31,7 @@ WideSimulator::WideSimulator(const Netlist& netlist, std::size_t lanes,
           "WideSimulator: lanes must be in [1, 64]");
   lane_mask_ = lanes == kMaxSimLanes ? ~std::uint64_t{0}
                                      : (std::uint64_t{1} << lanes) - 1;
-  event_times_ = sim_detail::edge_times(netlist_.clocks());
+  event_times_ = edge_times(netlist_.clocks());
   data_pis_ = netlist_.data_inputs();
   reset();
 }
@@ -89,7 +89,7 @@ void WideSimulator::reset() {
   const ClockSpec& clocks = netlist_.clocks();
   event_clock_changes_.clear();
   for (const PhaseWaveform& w : clocks.phases) {
-    const bool target = sim_detail::phase_level(w, clocks.period_ps,
+    const bool target = phase_level(w, clocks.period_ps,
                                                 clocks.period_ps - 1);
     const std::uint64_t word = target ? lane_mask_ : 0;
     if (values_[w.root.value()] != word) {
@@ -120,8 +120,9 @@ void WideSimulator::step(std::span<const std::uint64_t> pi_words) {
           "WideSimulator::step: wrong number of PI words");
   stats_.cycles += lanes_;  // one simulated cycle per lane
 
-  const int snapshot_event = std::min(
-      options_.snapshot_event, static_cast<int>(event_times_.size()) - 1);
+  const int snapshot = std::min(
+      options_.snapshot_event.value_or(snapshot_event(netlist_.clocks())),
+      static_cast<int>(event_times_.size()) - 1);
   int event_index = 0;
   // VCD time counts cycles since reset(); clear_stats() at the warmup
   // boundary leaves it alone, so '#' times never go backwards.
@@ -135,7 +136,7 @@ void WideSimulator::step(std::span<const std::uint64_t> pi_words) {
     event_clock_changes_.clear();
     for (const PhaseWaveform& w : netlist_.clocks().phases) {
       const bool target =
-          sim_detail::phase_level(w, netlist_.clocks().period_ps, t);
+          phase_level(w, netlist_.clocks().period_ps, t);
       const std::uint64_t word = target ? lane_mask_ : 0;
       if (values_[w.root.value()] != word) {
         set_net(w.root, word);
@@ -169,7 +170,7 @@ void WideSimulator::step(std::span<const std::uint64_t> pi_words) {
     // 4. Data propagation (handles nested clock events from illegal gating).
     propagate_data();
 
-    if (event_index == snapshot_event) {
+    if (event_index == snapshot) {
       const auto& outs = netlist_.outputs();
       for (std::size_t i = 0; i < outs.size(); ++i) {
         po_snapshot_[i] = values_[netlist_.cell(outs[i]).ins[0].value()];

@@ -24,9 +24,9 @@
 // another lane pulls the cell into an earlier union wave, so per-lane
 // glitch/toggle trajectories decompose exactly. See docs/simulation.md.
 //
-// The output-stream snapshot protocol is the scalar one
-// (SimOptions::snapshot_event); outputs() returns one packed word per
-// primary output. A VCD waveform is a per-lane concept: start_vcd()
+// The output-stream snapshot protocol is the scalar one (snapshot_event()
+// in src/sim/schedule.hpp); outputs() returns one packed word per primary
+// output. A VCD waveform is a per-lane concept: start_vcd()
 // records lane 0.
 #pragma once
 
@@ -45,8 +45,8 @@ inline constexpr std::size_t kMaxSimLanes = 64;
 
 class WideSimulator {
  public:
-  /// `lanes` must be in [1, kMaxSimLanes]. SimOptions::unit_delay and
-  /// snapshot_event mean exactly what they mean for the scalar engine.
+  /// `lanes` must be in [1, kMaxSimLanes]. SimOptions means exactly what
+  /// it means for the scalar engine.
   WideSimulator(const Netlist& netlist, std::size_t lanes,
                 SimOptions options = {});
 
@@ -61,7 +61,7 @@ class WideSimulator {
   void step(std::span<const std::uint64_t> pi_words);
 
   /// Lane-packed primary-output snapshot of the last step(), taken after
-  /// the SimOptions::snapshot_event event, in Netlist::outputs() order.
+  /// the snapshot event, in Netlist::outputs() order.
   [[nodiscard]] const std::vector<std::uint64_t>& outputs() const {
     return po_snapshot_;
   }

@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "src/check/checker.hpp"
+#include "src/circuits/workload.hpp"
+#include "src/equiv/cex.hpp"
 #include "src/flow/backend.hpp"
 #include "src/flow/matrix.hpp"
 #include "src/flow/serialize.hpp"
@@ -245,6 +247,27 @@ TEST(BackendStreams, TwoPhaseAndDetMatchFlipFlop) {
   EXPECT_TRUE(streams_equal(results[0].result.outputs,
                             results[2].result.outputs))
       << "det stream diverges from the FF baseline";
+}
+
+// ---------------------------------------------------------------------------
+// One cycle schedule: the counterexample replay SEC confirms its findings
+// with samples every backend's outputs at the event run_flow() does.
+
+TEST(BackendStreams, ReplayStreamMatchesRunFlow) {
+  FlowOptions options = FlowOptions::fast();
+  options.warmup_cycles = 0;
+  for (const char* name : {"s1196", "DES3"}) {
+    const circuits::Benchmark bench = circuits::make_benchmark(name);
+    const Stimulus stim = circuits::make_stimulus(
+        bench, circuits::Workload::kPaperDefault, 24, 7);
+    for (const ConversionBackend* backend : backend_registry()) {
+      const FlowResult result =
+          flow::run_flow(bench, backend->id(), stim, options);
+      EXPECT_TRUE(streams_equal(equiv::simulate_outputs(result.netlist, stim),
+                                result.outputs))
+          << name << "/" << backend->token();
+    }
+  }
 }
 
 }  // namespace

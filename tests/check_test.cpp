@@ -10,6 +10,7 @@
 #include <string>
 
 #include "src/analysis/analysis.hpp"
+#include "src/analysis/domains.hpp"
 #include "src/check/checker.hpp"
 #include "src/check/rules.hpp"
 #include "src/circuits/benchmark.hpp"
@@ -18,6 +19,7 @@
 #include "src/flow/flow.hpp"
 #include "src/netlist/netlist.hpp"
 #include "src/netlist/traverse.hpp"
+#include "src/netlist/verilog.hpp"
 #include "src/transform/clock_gating.hpp"
 #include "src/util/json.hpp"
 #include "src/util/log.hpp"
@@ -147,6 +149,53 @@ TEST(CheckRules, FloatingClockPinIsFlaggedTwice) {
   // Both the clock-specific rule and the generic floating-net rule fire.
   EXPECT_EQ(report.count(RuleId::kClockReachability), 1) << report.to_text();
   EXPECT_EQ(report.count(RuleId::kFloatingNet), 1);
+}
+
+TEST(CheckRules, ClockNetworkLoopIsReachabilityError) {
+  Chain c = three_phase_chain();
+  // Two clock buffers driving each other: the backward walk never reaches
+  // a root, so the lint rules and domain inference both treat it as data.
+  const NetId la = c.nl.add_net("loop_a");
+  const NetId lb = c.nl.add_net("loop_b");
+  c.nl.add_cell(CellKind::kClkBuf, "loop_buf_a", {lb}, la);
+  c.nl.add_cell(CellKind::kClkBuf, "loop_buf_b", {la}, lb);
+  c.nl.replace_input(c.b_p1, 1, la);
+  EXPECT_EQ(trace_clock(c.nl, la).kind, ClockTraceKind::kData);
+  const CheckReport report = run_checks(c.nl);
+  EXPECT_EQ(report.count(RuleId::kClockReachability), 1) << report.to_text();
+  const analysis::DomainTable table = analysis::infer_domains(c.nl);
+  const analysis::DomainLabel* label = table.label_of(c.b_p1);
+  ASSERT_NE(label, nullptr);
+  EXPECT_FALSE(label->clocked);
+}
+
+TEST(CheckRules, DeepClockBufferChainIsCleanAndClocked) {
+  // A 200,000-stage clock-buffer chain from external Verilog: the clock
+  // walk is iterative and bounded only by the net count, so checks,
+  // analyses and domain inference neither overflow the stack nor give up
+  // partway, and all agree the register is clocked by clk.
+  constexpr int kStages = 200'000;
+  std::string verilog =
+      "module deep (clk, d, q);\n"
+      "  // tp-clock clk clk 0 500 1000\n"
+      "  input clk;\n  input d;\n  output q;\n";
+  for (int i = 0; i < kStages; ++i) {
+    const std::string in = i == 0 ? "clk" : "c" + std::to_string(i - 1);
+    verilog += "  TP_CLKBUF b" + std::to_string(i) + " (.A(" + in +
+               "), .Y(c" + std::to_string(i) + "));\n";
+  }
+  verilog += "  TP_DFF r (.D(d), .CK(c" + std::to_string(kStages - 1) +
+             "), .Q(rq));\n  assign q = rq;\nendmodule\n";
+  const Netlist nl = read_verilog_string(verilog);
+
+  const CheckReport checks = run_checks(nl);
+  EXPECT_TRUE(checks.clean()) << checks.to_text();
+  const CheckReport analyses = analysis::run_analysis(nl);
+  EXPECT_TRUE(analyses.clean()) << analyses.to_text();
+  const analysis::DomainTable table = analysis::infer_domains(nl);
+  ASSERT_EQ(table.labels.size(), 1u);
+  EXPECT_TRUE(table.labels[0].clocked);
+  EXPECT_EQ(nl.net(table.labels[0].clock_root).name, "clk");
 }
 
 TEST(CheckRules, ConstantClockPin) {

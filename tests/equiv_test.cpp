@@ -11,8 +11,10 @@
 #include "src/equiv/sec.hpp"
 #include "src/transform/clock_gating.hpp"
 #include "src/transform/convert.hpp"
+#include "src/transform/det_ff.hpp"
 #include "src/transform/p2_gating.hpp"
 #include "src/transform/pulsed_latch.hpp"
+#include "src/transform/two_phase.hpp"
 #include "src/util/rng.hpp"
 
 namespace tp::equiv {
@@ -230,6 +232,8 @@ TEST(Machine, TracksSimulatorAcrossStyles) {
   apply_m2(p3.netlist);
   expect_machine_matches_simulator(p3.netlist, 30, 7);
   expect_machine_matches_simulator(to_pulsed_latch(ff).netlist, 30, 7);
+  expect_machine_matches_simulator(to_two_phase(ff).netlist, 30, 7);
+  expect_machine_matches_simulator(to_det_ff(ff).netlist, 30, 7);
 }
 
 TEST(Machine, StateCoversRegistersAndIcgs) {

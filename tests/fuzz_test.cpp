@@ -50,9 +50,7 @@ TEST_P(RoundTripFuzz, ConvertedDesignsSurviveVerilog) {
   Rng rng(spec.seed);
   const Stimulus stim =
       random_stimulus(ff.data_inputs().size(), 48, rng, 0.4);
-  SimOptions opt;
-  opt.snapshot_event = 1;
-  Simulator a(converted.netlist, opt), b(parsed, opt);
+  Simulator a(converted.netlist), b(parsed);
   EXPECT_TRUE(streams_equal(run_stream(a, stim, 8), run_stream(b, stim, 8)))
       << "seed " << spec.seed;
 }

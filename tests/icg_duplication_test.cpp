@@ -75,9 +75,7 @@ TEST(IcgDuplication, SplitsGroupsAcrossPhases) {
   Rng rng(17);
   const Stimulus stim = random_stimulus(2, 96, rng, 0.4);
   Simulator a(ff);
-  SimOptions opt;
-  opt.snapshot_event = 1;
-  Simulator b(r.netlist, opt);
+  Simulator b(r.netlist);
   EXPECT_TRUE(streams_equal(run_stream(a, stim, 8), run_stream(b, stim, 8)));
 }
 

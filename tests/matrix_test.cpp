@@ -313,9 +313,7 @@ TEST(RunMatrix, WideLanesBitIdenticalAcrossEnginesAndSchedules) {
     const circuits::Benchmark bench =
         circuits::make_benchmark(r.task.benchmark);
     const Netlist& netlist = r.result.netlist;
-    SimOptions options;
-    options.snapshot_event = netlist.clocks().phases.size() >= 2 ? 1 : 0;
-    Simulator scalar(netlist, options);
+    Simulator scalar(netlist);
     OutputStream reference;
     for (std::size_t l = 0; l < plan.lanes; ++l) {
       const Stimulus lane = circuits::make_stimulus(

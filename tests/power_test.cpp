@@ -19,13 +19,11 @@ struct Prepared {
   ClockTreeReport cts;
 };
 
-Prepared prepare(Netlist nl, double toggle = 0.3, int snapshot = 0) {
+Prepared prepare(Netlist nl, double toggle = 0.3) {
   Prepared p{.netlist = std::move(nl), .activity = {}, .placement = {},
              .cts = {}};
   Rng rng(5);
-  SimOptions opt;
-  opt.snapshot_event = snapshot;
-  Simulator sim(p.netlist, opt);
+  Simulator sim(p.netlist);
   run_stream(sim,
              random_stimulus(p.netlist.data_inputs().size(), 128, rng,
                              toggle),
@@ -157,7 +155,7 @@ TEST(Power, ThreePhaseSavesClockPowerOnPipelines) {
 
   Prepared ff = prepare(nl, 0.4);
   ThreePhaseResult conv = to_three_phase(nl);
-  Prepared tp3 = prepare(conv.netlist, 0.4, 1);
+  Prepared tp3 = prepare(conv.netlist, 0.4);
 
   const double ff_clock =
       compute_power(ff.netlist, lib(), ff.activity, &ff.placement, &ff.cts)

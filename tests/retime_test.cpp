@@ -99,9 +99,7 @@ TEST(Retime, PreservesFunctionality) {
 
     ThreePhaseResult r = to_three_phase(ff);
     retime_inserted_latches(r.netlist, lib());
-    SimOptions opt;
-    opt.snapshot_event = 1;
-    Simulator sim(r.netlist, opt);
+    Simulator sim(r.netlist);
     EXPECT_TRUE(streams_equal(reference, run_stream(sim, stim, 8)))
         << "3-phase retime, seed " << seed;
 

@@ -80,9 +80,7 @@ TEST(Schedule, SkewedScheduleStaysFunctionallyEquivalent) {
                                {900, 1400}}) {
     Netlist skewed = r.netlist;
     apply_phase_schedule(skewed, e1, e2);
-    SimOptions opt;
-    opt.snapshot_event = 1;
-    Simulator sim(skewed, opt);
+    Simulator sim(skewed);
     EXPECT_TRUE(streams_equal(reference, run_stream(sim, stim, 8)))
         << "e1=" << e1 << " e2=" << e2;
   }

@@ -9,6 +9,7 @@
 #include "src/flow/flow.hpp"
 #include "src/transform/clock_gating.hpp"
 #include "src/transform/convert.hpp"
+#include "src/transform/det_ff.hpp"
 #include "src/transform/p2_gating.hpp"
 #include "src/transform/pulsed_latch.hpp"
 
@@ -101,6 +102,10 @@ TEST_P(SecBenchmarkTest, ProvesAllStylesAgainstFlipFlopGolden) {
   const SecResult pl =
       check_sequential_equivalence(golden, to_pulsed_latch(ff).netlist);
   EXPECT_TRUE(pl) << "pulsed-latch: " << pl.detail;
+
+  const SecResult det =
+      check_sequential_equivalence(golden, to_det_ff(ff).netlist);
+  EXPECT_TRUE(det) << "DET-FF: " << det.detail;
 }
 
 INSTANTIATE_TEST_SUITE_P(All, SecBenchmarkTest,

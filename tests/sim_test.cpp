@@ -215,9 +215,7 @@ TEST(Simulator, ThreePhaseChainMatchesFfChain) {
     Rng rng(1000 + depth);
     const Stimulus stim = random_stimulus(1, 64, rng, 0.5);
     Simulator ff_sim(ff);
-    SimOptions lp_opt;
-    lp_opt.snapshot_event = 1;  // 3-phase designs snapshot after T/3
-    Simulator lp_sim(lp, lp_opt);
+    Simulator lp_sim(lp);  // 3-phase designs snapshot after T/3
     EXPECT_TRUE(streams_equal(run_stream(ff_sim, stim, 8),
                               run_stream(lp_sim, stim, 8)))
         << "depth " << depth;
@@ -234,16 +232,6 @@ TEST(Simulator, ToggleStatsCountDataActivity) {
   const NetId q = nl.cell(nl.outputs()[0]).ins[0];
   EXPECT_EQ(sim.stats().cycles, 12u);
   EXPECT_EQ(sim.stats().net_toggles[q.value()], 12u);
-}
-
-TEST(Simulator, ZeroDelayModeMatchesUnitDelayFunctionally) {
-  Netlist nl = ff_chain(3);
-  Rng rng(9);
-  const Stimulus stim = random_stimulus(1, 64, rng);
-  SimOptions zd;
-  zd.unit_delay = false;
-  Simulator a(nl), b(nl, zd);
-  EXPECT_TRUE(streams_equal(run_stream(a, stim, 2), run_stream(b, stim, 2)));
 }
 
 TEST(Simulator, TwoPhaseClkClkbarIntermediate) {
@@ -273,11 +261,9 @@ TEST(Simulator, TwoPhaseClkClkbarIntermediate) {
 
   Rng rng(31);
   const Stimulus stim = random_stimulus(1, 64, rng, 0.5);
-  // The clkbar latch carries cycle-n data during [T/2, T); sample after
-  // the mid-cycle event like the 3-phase p2 case.
-  SimOptions opt;
-  opt.snapshot_event = 1;
-  Simulator b(nl, opt);
+  // The clkbar latch carries cycle-n data during [T/2, T); a two-phase plan
+  // samples after the mid-cycle event like the 3-phase p2 case.
+  Simulator b(nl);
   const OutputStream out = run_stream(b, stim, 4);
   for (std::size_t n = 0; n < out.size(); ++n) {
     EXPECT_EQ(out[n][0], stim[n + 4][0]) << "cycle " << n;

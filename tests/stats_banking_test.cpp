@@ -84,9 +84,7 @@ TEST(Banking, FindsBanksOnConvertedDesign) {
   ThreePhaseResult r = to_three_phase(ff);
   const Placement placement = place(r.netlist, lib());
   Rng rng(3);
-  SimOptions opt;
-  opt.snapshot_event = 1;
-  Simulator sim(r.netlist, opt);
+  Simulator sim(r.netlist);
   run_stream(sim, random_stimulus(r.netlist.data_inputs().size(), 48, rng),
              8);
   const BankingReport report =
@@ -111,9 +109,7 @@ TEST(Banking, TightRadiusBanksLess) {
   ThreePhaseResult r = to_three_phase(ff);
   const Placement placement = place(r.netlist, lib());
   Rng rng(3);
-  SimOptions opt;
-  opt.snapshot_event = 1;
-  Simulator sim(r.netlist, opt);
+  Simulator sim(r.netlist);
   run_stream(sim, random_stimulus(r.netlist.data_inputs().size(), 48, rng),
              8);
   BankingOptions wide;

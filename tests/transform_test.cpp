@@ -14,11 +14,8 @@ namespace {
 using testing::RandomCircuitSpec;
 using testing::random_ff_circuit;
 
-OutputStream run(const Netlist& nl, const Stimulus& stim,
-                 int snapshot_event = 0) {
-  SimOptions opt;
-  opt.snapshot_event = snapshot_event;
-  Simulator sim(nl, opt);
+OutputStream run(const Netlist& nl, const Stimulus& stim) {
+  Simulator sim(nl);
   return run_stream(sim, stim, /*warmup=*/8);
 }
 
@@ -178,7 +175,7 @@ TEST_P(ThreePhaseEquivalence, MatchesFfStream) {
   const OutputStream reference = run(ff, stim);
 
   const ThreePhaseResult r = to_three_phase(ff);
-  EXPECT_TRUE(streams_equal(reference, run(r.netlist, stim, 1)))
+  EXPECT_TRUE(streams_equal(reference, run(r.netlist, stim)))
       << "3-phase mismatch, seed " << spec.seed;
 
   const Netlist ms = to_master_slave(ff);
@@ -229,12 +226,12 @@ TEST(P2Gating, GatedDesignStaysEquivalent) {
 
     ThreePhaseResult r = to_three_phase(ff);
     gate_p2_latches(r.netlist);
-    EXPECT_TRUE(streams_equal(reference, run(r.netlist, stim, 1)))
+    EXPECT_TRUE(streams_equal(reference, run(r.netlist, stim)))
         << "seed " << seed;
     // Conventional-ICG variant (M1 ablation) must also be equivalent.
     ThreePhaseResult r2 = to_three_phase(ff);
     gate_p2_latches(r2.netlist, {.use_m1 = false});
-    EXPECT_TRUE(streams_equal(reference, run(r2.netlist, stim, 1)))
+    EXPECT_TRUE(streams_equal(reference, run(r2.netlist, stim)))
         << "no-M1, seed " << seed;
   }
 }
@@ -254,7 +251,7 @@ TEST(M2, RemovesLatchesWhereLegalAndStaysEquivalent) {
     ThreePhaseResult r = to_three_phase(ff);
     const M2Result m2 = apply_m2(r.netlist);
     EXPECT_GT(m2.converted + m2.kept, 0);
-    EXPECT_TRUE(streams_equal(reference, run(r.netlist, stim, 1)))
+    EXPECT_TRUE(streams_equal(reference, run(r.netlist, stim)))
         << "seed " << seed;
   }
 }
@@ -291,7 +288,7 @@ TEST(M2, IllegalRemovalCanBreakTheDesign) {
       }
     }
     if (illegal == 0) continue;  // nothing unsafe in this seed
-    if (!streams_equal(reference, run(r.netlist, stim, 1))) ++broken;
+    if (!streams_equal(reference, run(r.netlist, stim))) ++broken;
   }
   EXPECT_GT(broken, 0) << "forced M2 never broke any seed — the legality "
                           "analysis would be vacuous";
@@ -315,16 +312,14 @@ TEST(Ddcg, GatesLowActivityLatchesAndStaysEquivalent) {
 
     ThreePhaseResult r = to_three_phase(ff);
     // Measure activity on the converted design, then gate.
-    SimOptions opt;
-    opt.snapshot_event = 1;
-    Simulator sim(r.netlist, opt);
+    Simulator sim(r.netlist);
     run_stream(sim, low_activity, 8);
     const DdcgResult d =
         apply_ddcg(r.netlist, sim.stats(), {.toggle_threshold = 0.2});
     r.netlist.validate();
     EXPECT_GT(d.latches_gated, 0) << "seed " << seed;
     EXPECT_LE(d.latches_gated, d.groups * 32);
-    EXPECT_TRUE(streams_equal(reference, run(r.netlist, low_activity, 1)))
+    EXPECT_TRUE(streams_equal(reference, run(r.netlist, low_activity)))
         << "seed " << seed;
   }
 }
@@ -337,9 +332,7 @@ TEST(Ddcg, RespectsMaxFanout) {
   infer_clock_gating(ff);
   ThreePhaseResult r = to_three_phase(ff);
   Rng rng(1);
-  SimOptions opt;
-  opt.snapshot_event = 1;
-  Simulator sim(r.netlist, opt);
+  Simulator sim(r.netlist);
   run_stream(sim, random_stimulus(r.netlist.data_inputs().size(), 64, rng,
                                   0.01),
              8);

@@ -89,9 +89,7 @@ TEST(Verilog, RoundTripsConvertedThreePhaseDesign) {
   Rng rng(5);
   const Stimulus stim =
       random_stimulus(ff.data_inputs().size(), 64, rng, 0.4);
-  SimOptions opt;
-  opt.snapshot_event = 1;
-  Simulator a(converted.netlist, opt), b(parsed, opt);
+  Simulator a(converted.netlist), b(parsed);
   EXPECT_TRUE(streams_equal(run_stream(a, stim, 8), run_stream(b, stim, 8)));
 }
 

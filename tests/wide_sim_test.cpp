@@ -25,7 +25,6 @@ namespace {
 struct StyleNetlist {
   std::string label;
   Netlist netlist{"style"};
-  int snapshot_event = 0;
 };
 
 /// The four design styles of one benchmark, built through the same
@@ -36,12 +35,12 @@ std::vector<StyleNetlist> style_netlists(const circuits::Benchmark& bench) {
   {
     Netlist ff = bench.netlist;
     infer_clock_gating(ff);
-    styles.push_back({"FF", std::move(ff), 0});
+    styles.push_back({"FF", std::move(ff)});
   }
   {
     Netlist ms = bench.netlist;
     infer_clock_gating(ms);
-    styles.push_back({"M-S", to_master_slave(ms), 0});
+    styles.push_back({"M-S", to_master_slave(ms)});
   }
   {
     Netlist p3 = bench.netlist;
@@ -50,13 +49,13 @@ std::vector<StyleNetlist> style_netlists(const circuits::Benchmark& bench) {
     p3 = std::move(converted.netlist);
     gate_p2_latches(p3);
     apply_m2(p3);
-    styles.push_back({"3-P", std::move(p3), 1});
+    styles.push_back({"3-P", std::move(p3)});
   }
   {
     Netlist pl = bench.netlist;
     infer_clock_gating(pl);
     PulsedLatchResult converted = to_pulsed_latch(pl);
-    styles.push_back({"P-L", std::move(converted.netlist), 0});
+    styles.push_back({"P-L", std::move(converted.netlist)});
   }
   return styles;
 }
@@ -75,10 +74,10 @@ std::vector<Stimulus> make_lanes(std::size_t lanes, std::size_t inputs,
 
 /// Scalar reference: run every lane through a scalar Simulator,
 /// concatenating streams lane-major and summing ActivityStats.
-OutputStream scalar_reference(const Netlist& netlist, SimOptions options,
+OutputStream scalar_reference(const Netlist& netlist,
                               const std::vector<Stimulus>& lanes,
                               std::size_t warmup, ActivityStats* stats) {
-  Simulator sim(netlist, options);
+  Simulator sim(netlist);
   OutputStream stream;
   stats->net_toggles.assign(netlist.num_nets(), 0);
   stats->cycles = 0;
@@ -94,19 +93,17 @@ OutputStream scalar_reference(const Netlist& netlist, SimOptions options,
 }
 
 /// The contract itself: streams equal, toggle counts equal net-by-net.
-void expect_bit_identity(const Netlist& netlist, int snapshot_event,
-                         std::size_t lane_count, std::size_t cycles,
-                         std::uint64_t seed, std::size_t warmup = 2) {
-  SimOptions options;
-  options.snapshot_event = snapshot_event;
+void expect_bit_identity(const Netlist& netlist, std::size_t lane_count,
+                         std::size_t cycles, std::uint64_t seed,
+                         std::size_t warmup = 2) {
   const std::vector<Stimulus> lanes =
       make_lanes(lane_count, netlist.data_inputs().size(), cycles, seed);
 
   ActivityStats scalar_stats;
   const OutputStream scalar_stream =
-      scalar_reference(netlist, options, lanes, warmup, &scalar_stats);
+      scalar_reference(netlist, lanes, warmup, &scalar_stats);
 
-  WideSimulator wide(netlist, lane_count, options);
+  WideSimulator wide(netlist, lane_count);
   const OutputStream wide_stream =
       run_wide_stream(wide, pack_stimulus(lanes), warmup);
 
@@ -134,8 +131,8 @@ TEST(WideSimulator, BitIdenticalAcrossBenchmarksAndStyles) {
       for (const std::size_t lanes : {1, 5}) {
         SCOPED_TRACE(std::string(name) + "/" + style.label + "/" +
                      std::to_string(lanes) + " lane(s)");
-        expect_bit_identity(style.netlist, style.snapshot_event, lanes,
-                            /*cycles=*/24, /*seed=*/1000);
+        expect_bit_identity(style.netlist, lanes, /*cycles=*/24,
+                            /*seed=*/1000);
       }
     }
   }
@@ -145,10 +142,10 @@ TEST(WideSimulator, FullSixtyFourLaneWord) {
   const circuits::Benchmark bench = circuits::make_benchmark("s1196");
   std::vector<StyleNetlist> styles = style_netlists(bench);
   // FF and 3-P at the full word width (lane_mask == ~0).
-  expect_bit_identity(styles[0].netlist, styles[0].snapshot_event,
-                      kMaxSimLanes, /*cycles=*/12, /*seed=*/4);
-  expect_bit_identity(styles[2].netlist, styles[2].snapshot_event,
-                      kMaxSimLanes, /*cycles=*/12, /*seed=*/4);
+  expect_bit_identity(styles[0].netlist, kMaxSimLanes, /*cycles=*/12,
+                      /*seed=*/4);
+  expect_bit_identity(styles[2].netlist, kMaxSimLanes, /*cycles=*/12,
+                      /*seed=*/4);
 }
 
 TEST(WideSimulator, TransparentLatchInitDivergence) {
@@ -168,8 +165,8 @@ TEST(WideSimulator, TransparentLatchInitDivergence) {
   const NetId qn = nl.add_net("qn");
   nl.add_cell(CellKind::kInv, "inv", {q}, qn, Phase::kNone);
   nl.add_output("out", qn);
-  expect_bit_identity(nl, /*snapshot_event=*/0, /*lanes=*/3, /*cycles=*/10,
-                      /*seed=*/9, /*warmup=*/0);
+  expect_bit_identity(nl, /*lanes=*/3, /*cycles=*/10, /*seed=*/9,
+                      /*warmup=*/0);
 }
 
 TEST(WideSimulator, NestedClockEventsFromIllegalGating) {
@@ -195,8 +192,8 @@ TEST(WideSimulator, NestedClockEventsFromIllegalGating) {
   const NetId qb = nl.add_net("qb");
   nl.add_cell(CellKind::kDff, "b", {qa, gclk}, qb, Phase::kClk);
   nl.add_output("out", qb);
-  expect_bit_identity(nl, /*snapshot_event=*/0, /*lanes=*/4, /*cycles=*/16,
-                      /*seed=*/21, /*warmup=*/0);
+  expect_bit_identity(nl, /*lanes=*/4, /*cycles=*/16, /*seed=*/21,
+                      /*warmup=*/0);
 }
 
 TEST(WideSimulator, DdcgGroupsIdenticalFromScalarAndWideActivity) {
@@ -212,15 +209,13 @@ TEST(WideSimulator, DdcgGroupsIdenticalFromScalarAndWideActivity) {
   gate_p2_latches(p3);
   apply_m2(p3);
 
-  SimOptions options;
-  options.snapshot_event = 1;
   const std::vector<Stimulus> lanes =
       make_lanes(4, p3.data_inputs().size(), 48, 77);
 
   ActivityStats scalar_stats;
-  scalar_reference(p3, options, lanes, /*warmup=*/4, &scalar_stats);
+  scalar_reference(p3, lanes, /*warmup=*/4, &scalar_stats);
 
-  WideSimulator wide(p3, lanes.size(), options);
+  WideSimulator wide(p3, lanes.size());
   run_wide_stream(wide, pack_stimulus(lanes), /*warmup=*/4);
 
   Netlist from_scalar = p3;
@@ -298,12 +293,10 @@ TEST(WideSimulator, VcdLaneZeroMatchesOneLaneRun) {
   const circuits::Benchmark bench = circuits::make_benchmark("s1196");
   for (const StyleNetlist& style : style_netlists(bench)) {
     SCOPED_TRACE(style.label);
-    SimOptions options;
-    options.snapshot_event = style.snapshot_event;
     const std::vector<Stimulus> lanes = make_lanes(
         4, style.netlist.data_inputs().size(), /*cycles=*/12, /*seed=*/55);
     const auto dump = [&](std::span<const Stimulus> run) {
-      WideSimulator sim(style.netlist, run.size(), options);
+      WideSimulator sim(style.netlist, run.size());
       std::ostringstream vcd;
       sim.start_vcd(vcd);
       run_wide_stream(sim, pack_stimulus(run), /*warmup=*/2);
