@@ -19,9 +19,13 @@
 // Exit status 1 when SEC misses a mutation the ground-truth stream
 // observes: SEC's detection rate is a gate, not just a printed row.
 //
-//   $ ./bench/equiv_vs_stream [circuit] [mutations] [--lanes L]
+// --out FILE writes every row as JSON: detection counts and wall time per
+// method, plus SEC's summed SAT calls and conflicts.
+//
+//   $ ./bench/equiv_vs_stream [circuit] [mutations] [--lanes L] [--out FILE]
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -34,6 +38,7 @@
 #include "src/transform/convert.hpp"
 #include "src/transform/p2_gating.hpp"
 #include "src/util/argparse.hpp"
+#include "src/util/json.hpp"
 #include "src/util/log.hpp"
 #include "src/util/rng.hpp"
 
@@ -99,11 +104,60 @@ std::vector<Mutation> seed_mutations(const Netlist& base, std::size_t count,
   return mutations;
 }
 
+/// One method's results over all mutations.
+struct Row {
+  std::string method;
+  std::size_t detected = 0, missed = 0, false_positive = 0;
+  std::size_t beyond = 0;  // confirmed divergences past the truth horizon
+  std::size_t unknown = 0;
+  double wall_s = 0;
+  std::int64_t sat_calls = 0, sat_conflicts = 0;  // SEC only
+};
+
+bool write_json(const std::string& path, const std::string& circuit,
+                std::size_t mutations, std::size_t observable,
+                const std::vector<Row>& rows) {
+  util::JsonWriter w;
+  w.begin_object();
+  w.key("bench").value("equiv_vs_stream");
+  w.key("circuit").value(circuit);
+  w.key("mutations").value(static_cast<std::uint64_t>(mutations));
+  w.key("observable").value(static_cast<std::uint64_t>(observable));
+  w.key("methods").begin_array();
+  for (const Row& row : rows) {
+    w.begin_object();
+    w.key("method").value(row.method);
+    w.key("detected").value(static_cast<std::uint64_t>(row.detected));
+    w.key("missed").value(static_cast<std::uint64_t>(row.missed));
+    w.key("false_positive")
+        .value(static_cast<std::uint64_t>(row.false_positive));
+    w.key("beyond_horizon").value(static_cast<std::uint64_t>(row.beyond));
+    w.key("wall_s").value(row.wall_s);
+    if (row.method == "SEC") {
+      w.key("unknown").value(static_cast<std::uint64_t>(row.unknown));
+      w.key("sat_calls").value(row.sat_calls);
+      w.key("sat_conflicts").value(row.sat_conflicts);
+    }
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
+  std::ofstream out(path);
+  out << w.take() << "\n";
+  if (!out.good()) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("\nwrote %s\n", path.c_str());
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   std::vector<std::string> positionals;
   std::size_t lanes = 16;
+  std::string out_file;
   util::ArgParser parser(
       "equiv_vs_stream",
       "pit N-cycle stream comparison (scalar and bit-parallel) against "
@@ -114,6 +168,8 @@ int main(int argc, char** argv) {
   parser.add_value("--lanes", &lanes,
                    "bit-parallel stimulus lanes for the wide rows, 1-64; "
                    "1 disables them (default 16)");
+  parser.add_value("--out", &out_file,
+                   "write the rows as JSON to FILE (default: none)", "FILE");
   parser.parse_or_exit(argc, argv);
   if (lanes < 1 || lanes > kMaxSimLanes || positionals.size() > 2) {
     std::fprintf(stderr,
@@ -162,9 +218,22 @@ int main(int argc, char** argv) {
   std::printf("%-12s %9s %9s %9s %11s\n", "method", "detected", "missed",
               "false+", "time/run");
 
+  std::vector<Row> rows;
+  const auto print_row = [&](const Row& row) {
+    std::printf("%-12s %6zu/%-2zu %9zu %9zu %9.3f s", row.method.c_str(),
+                row.detected, breaking, row.missed, row.false_positive,
+                row.wall_s / static_cast<double>(count));
+    if (row.beyond) {
+      std::printf("   (+%zu confirmed beyond the truth horizon)", row.beyond);
+    }
+    if (row.unknown) std::printf("   (%zu unknown)", row.unknown);
+    std::printf("\n");
+  };
+
   // N-cycle stream comparison.
   for (const std::size_t cycles : kStreamLengths) {
-    std::size_t detected = 0, missed = 0, false_positive = 0;
+    Row row;
+    row.method = "stream-" + std::to_string(cycles);
     Stopwatch watch;
     for (std::size_t k = 0; k < mutations.size(); ++k) {
       Rng r(31 + cycles);
@@ -173,13 +242,13 @@ int main(int argc, char** argv) {
       const OutputStream b =
           equiv::simulate_outputs(mutations[k].netlist, stim);
       const bool flagged = first_mismatch(a, b) >= 0;
-      detected += flagged && is_breaking[k];
-      missed += !flagged && is_breaking[k];
-      false_positive += flagged && !is_breaking[k];
+      row.detected += flagged && is_breaking[k];
+      row.missed += !flagged && is_breaking[k];
+      row.false_positive += flagged && !is_breaking[k];
     }
-    const double per_run = watch.seconds() / static_cast<double>(count);
-    std::printf("stream-%-5zu %6zu/%-2zu %9zu %9zu %9.3f s\n", cycles,
-                detected, breaking, missed, false_positive, per_run);
+    row.wall_s = watch.seconds();
+    print_row(row);
+    rows.push_back(std::move(row));
   }
 
   // Bit-parallel stream comparison: `lanes` independent N-cycle stimuli per
@@ -199,7 +268,9 @@ int main(int argc, char** argv) {
       }
       const WideStimulus packed = pack_stimulus(stims);
 
-      std::size_t detected = 0, missed = 0, beyond = 0;
+      Row row;
+      row.method =
+          "wide-" + std::to_string(cycles) + "x" + std::to_string(lanes);
       Stopwatch watch;
       WideSimulator golden_sim(golden, lanes);
       const OutputStream a = run_wide_stream(golden_sim, packed, 0);
@@ -207,19 +278,13 @@ int main(int argc, char** argv) {
         WideSimulator mutant_sim(mutations[k].netlist, lanes);
         const OutputStream b = run_wide_stream(mutant_sim, packed, 0);
         const bool flagged = first_mismatch(a, b) >= 0;
-        detected += flagged && is_breaking[k];
-        missed += !flagged && is_breaking[k];
-        beyond += flagged && !is_breaking[k];
+        row.detected += flagged && is_breaking[k];
+        row.missed += !flagged && is_breaking[k];
+        row.beyond += flagged && !is_breaking[k];
       }
-      const double per_run = watch.seconds() / static_cast<double>(count);
-      char label[32];
-      std::snprintf(label, sizeof(label), "wide-%zux%zu", cycles, lanes);
-      std::printf("%-12s %6zu/%-2zu %9zu %9zu %9.3f s", label, detected,
-                  breaking, missed, std::size_t{0}, per_run);
-      if (beyond) {
-        std::printf("   (+%zu confirmed beyond the truth horizon)", beyond);
-      }
-      std::printf("\n");
+      row.wall_s = watch.seconds();
+      print_row(row);
+      rows.push_back(std::move(row));
     }
   }
 
@@ -227,35 +292,33 @@ int main(int argc, char** argv) {
   // truth calls "unobservable" is not a false alarm: the cex is replayed on
   // the reference simulator before SEC reports it, so it found a divergence
   // beyond the 5000-cycle horizon (or off the sampled stimulus path).
-  std::size_t sec_missed = 0;
-  {
-    std::size_t detected = 0, missed = 0, beyond = 0, unknown = 0;
-    Stopwatch watch;
-    for (std::size_t k = 0; k < mutations.size(); ++k) {
-      const equiv::SecResult r =
-          equiv::check_sequential_equivalence(golden, mutations[k].netlist);
-      const bool flagged =
-          r.status == equiv::SecStatus::kFalsified && r.cex.confirmed;
-      unknown += r.status == equiv::SecStatus::kUnknown;
-      detected += flagged && is_breaking[k];
-      missed += !flagged && is_breaking[k];
-      beyond += flagged && !is_breaking[k];
-    }
-    const double per_run = watch.seconds() / static_cast<double>(count);
-    std::printf("SEC          %6zu/%-2zu %9zu %9zu %9.3f s", detected,
-                breaking, missed, std::size_t{0}, per_run);
-    if (beyond) {
-      std::printf("   (+%zu confirmed beyond the truth horizon)", beyond);
-    }
-    if (unknown) std::printf("   (%zu unknown)", unknown);
-    std::printf("\n");
-    sec_missed = missed;
+  Row sec;
+  sec.method = "SEC";
+  Stopwatch watch;
+  for (std::size_t k = 0; k < mutations.size(); ++k) {
+    const equiv::SecResult r =
+        equiv::check_sequential_equivalence(golden, mutations[k].netlist);
+    const bool flagged =
+        r.status == equiv::SecStatus::kFalsified && r.cex.confirmed;
+    sec.unknown += r.status == equiv::SecStatus::kUnknown;
+    sec.detected += flagged && is_breaking[k];
+    sec.missed += !flagged && is_breaking[k];
+    sec.beyond += flagged && !is_breaking[k];
+    sec.sat_calls += r.stats.sat_calls;
+    sec.sat_conflicts += r.stats.sat_conflicts;
   }
-  if (sec_missed > 0) {
+  sec.wall_s = watch.seconds();
+  print_row(sec);
+  rows.push_back(sec);
+  if (!out_file.empty() &&
+      !write_json(out_file, circuit, mutations.size(), breaking, rows)) {
+    return 1;
+  }
+  if (sec.missed > 0) {
     std::fprintf(stderr,
                  "SEC gate: missed %zu mutation(s) the %zu-cycle ground "
                  "truth observes\n",
-                 sec_missed, kGroundTruthCycles);
+                 sec.missed, kGroundTruthCycles);
     return 1;
   }
   return 0;

@@ -217,10 +217,14 @@ int main(int argc, char** argv) {
     }
     if (options.check_equivalence) {
       for (const StageCheck& stage : r.equiv.stages) {
-        std::printf("  SEC %-12s %s (%.2f s)%s%s\n", stage.stage.c_str(),
+        const equiv::SecStats& sec = stage.result.stats;
+        std::printf("  SEC %-12s %s (%.2f s, sat_calls %lld, sat_conflicts "
+                    "%lld, bmc_depth %d)%s%s\n",
+                    stage.stage.c_str(),
                     std::string(equiv::status_name(stage.result.status))
                         .c_str(),
-                    stage.seconds,
+                    stage.seconds, static_cast<long long>(sec.sat_calls),
+                    static_cast<long long>(sec.sat_conflicts), sec.bmc_depth,
                     stage.result.detail.empty() ? "" : " — ",
                     stage.result.detail.c_str());
       }

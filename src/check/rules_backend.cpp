@@ -9,9 +9,10 @@ namespace tp::check {
 namespace {
 
 /// Driver cell of `net` traced back through clock buffers and inverters;
-/// invalid CellId when the net is undriven.
+/// invalid CellId when the net is undriven or the walk loops (it is bounded
+/// by the net count, as trace_clock() is).
 CellId traced_driver(const Netlist& netlist, NetId net) {
-  for (;;) {
+  for (std::size_t step = 0; step <= netlist.num_nets(); ++step) {
     const CellId driver = netlist.net(net).driver;
     if (!driver.valid()) return driver;
     const Cell& cell = netlist.cell(driver);
@@ -22,6 +23,7 @@ CellId traced_driver(const Netlist& netlist, NetId net) {
     }
     return driver;
   }
+  return CellId{};
 }
 
 }  // namespace

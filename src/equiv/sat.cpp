@@ -47,10 +47,7 @@ bool SatSolver::add_clause(std::vector<int> lits) {
     if (value_of(cl[0]) == -1) enqueue(cl[0], -1);
     return ok_;
   }
-  const int ci = static_cast<int>(clauses_.size());
-  watches_[cl[0]].push_back({ci});
-  watches_[cl[1]].push_back({ci});
-  clauses_.push_back(std::move(cl));
+  attach(cl);
   return true;
 }
 
@@ -62,6 +59,15 @@ void SatSolver::enqueue(int lit, int reason) {
   trail_.push_back(lit);
 }
 
+int SatSolver::attach(std::span<const int> lits) {
+  const int cr = static_cast<int>(arena_.size());
+  arena_.push_back(static_cast<int>(lits.size()));
+  arena_.insert(arena_.end(), lits.begin(), lits.end());
+  watches_[lits[0]].push_back({cr, lits[1]});
+  watches_[lits[1]].push_back({cr, lits[0]});
+  return cr;
+}
+
 int SatSolver::propagate() {
   while (qhead_ < static_cast<int>(trail_.size())) {
     const int p = trail_[qhead_++];  // p just became true; p^1 became false
@@ -70,31 +76,37 @@ int SatSolver::propagate() {
     std::vector<Watcher>& ws = watches_[false_lit];
     std::size_t keep = 0;
     for (std::size_t i = 0; i < ws.size(); ++i) {
-      const int ci = ws[i].clause;
-      std::vector<int>& cl = clauses_[ci];
-      if (cl[0] == false_lit) std::swap(cl[0], cl[1]);
-      if (value_of(cl[0]) == 1) {  // clause already satisfied
-        ws[keep++] = ws[i];
+      const Watcher w = ws[i];
+      if (value_of(w.blocker) == 1) {
+        ws[keep++] = w;
+        continue;
+      }
+      int* lits = &arena_[w.clause + 1];
+      const int size = arena_[w.clause];
+      if (lits[0] == false_lit) std::swap(lits[0], lits[1]);
+      const int first = lits[0];
+      if (first != w.blocker && value_of(first) == 1) {
+        ws[keep++] = {w.clause, first};  // satisfied: remember why
         continue;
       }
       bool moved = false;
-      for (std::size_t k = 2; k < cl.size(); ++k) {
-        if (value_of(cl[k]) != 0) {
-          std::swap(cl[1], cl[k]);
-          watches_[cl[1]].push_back({ci});
+      for (int k = 2; k < size; ++k) {
+        if (value_of(lits[k]) != 0) {
+          std::swap(lits[1], lits[k]);
+          watches_[lits[1]].push_back({w.clause, first});
           moved = true;
           break;
         }
       }
       if (moved) continue;
-      ws[keep++] = ws[i];
-      if (value_of(cl[0]) == 0) {  // conflict
+      ws[keep++] = {w.clause, first};
+      if (value_of(first) == 0) {  // conflict
         for (++i; i < ws.size(); ++i) ws[keep++] = ws[i];
         ws.resize(keep);
         qhead_ = static_cast<int>(trail_.size());
-        return ci;
+        return w.clause;
       }
-      enqueue(cl[0], ci);
+      enqueue(first, w.clause);
     }
     ws.resize(keep);
   }
@@ -107,8 +119,9 @@ void SatSolver::analyze(int confl, std::vector<int>& learnt, int& bt_level) {
   int p = -1;
   int idx = static_cast<int>(trail_.size()) - 1;
   do {
-    const std::vector<int>& cl = clauses_[confl];
-    for (const int q : cl) {
+    const int size = arena_[confl];
+    for (int k = 1; k <= size; ++k) {
+      const int q = arena_[confl + k];
       if (q == p) continue;
       const int v = q >> 1;
       if (seen_[v] == 0 && level_[v] > 0) {
@@ -184,11 +197,7 @@ SatResult SatSolver::solve(std::span<const int> assumptions) {
         }
         if (value_of(learnt[0]) == -1) enqueue(learnt[0], -1);
       } else {
-        const int ci = static_cast<int>(clauses_.size());
-        watches_[learnt[0]].push_back({ci});
-        watches_[learnt[1]].push_back({ci});
-        clauses_.push_back(learnt);
-        enqueue(learnt[0], ci);
+        enqueue(learnt[0], attach(learnt));
       }
       decay();
       if (conflict_limit_ > 0 && conflicts >= conflict_limit_) {

@@ -1,14 +1,17 @@
 // Small incremental CDCL SAT solver used by the SAT-sweeping engine.
 //
 // Feature set deliberately chosen for the equivalence-checking workload —
-// many small satisfiability queries over one growing CNF:
-//   - two-watched-literal propagation,
+// many small satisfiability queries over one CNF per proof phase:
+//   - two-watched-literal propagation over a flat clause arena (a size word,
+//     then the literals, all in one std::vector<int>), each watcher carrying
+//     a blocker literal so an already-satisfied clause is skipped without
+//     loading it,
 //   - first-UIP conflict analysis with clause learning,
 //   - VSIDS branching with phase saving,
 //   - geometric restarts,
-//   - solving under assumptions (the sweeping engine activates per-query
-//     miter constraints through assumption literals, so the clause database
-//     is shared across thousands of queries),
+//   - solving under assumptions (the SEC engine activates each per-query
+//     miter through an assumption literal and retires it with a unit
+//     clause, so one solver answers a whole proof phase's queries),
 //   - a per-call conflict budget so one pathologically hard query degrades
 //     to "unknown" instead of stalling the whole check.
 //
@@ -54,7 +57,8 @@ class SatSolver {
 
  private:
   struct Watcher {
-    int clause = 0;
+    int clause = 0;   // arena offset of the clause's size word
+    int blocker = 0;  // another literal of the clause; true => satisfied
   };
 
   [[nodiscard]] int value_of(int lit) const {  // +1 true, 0 false, -1 unassigned
@@ -68,7 +72,8 @@ class SatSolver {
     trail_lim_.push_back(static_cast<int>(trail_.size()));
   }
   void enqueue(int lit, int reason);
-  int propagate();  // returns conflicting clause index or -1
+  int attach(std::span<const int> lits);  // stores and watches a clause
+  int propagate();  // returns the conflicting clause or -1
   void analyze(int confl, std::vector<int>& learnt, int& bt_level);
   void backtrack(int level);
   int pick_branch_var();
@@ -80,11 +85,11 @@ class SatSolver {
   int heap_pop();
 
   bool ok_ = true;  // false once the formula is unsat at level 0
-  std::vector<std::vector<int>> clauses_;
+  std::vector<int> arena_;  // clauses of two or more literals, back to back
   std::vector<std::vector<Watcher>> watches_;  // indexed by literal
   std::vector<signed char> assigns_;           // per var: -1 / 0 / 1
   std::vector<int> level_;                     // per var
-  std::vector<int> reason_;                    // per var: clause index or -1
+  std::vector<int> reason_;                    // per var: clause or -1
   std::vector<int> trail_;
   std::vector<int> trail_lim_;
   int qhead_ = 0;

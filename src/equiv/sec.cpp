@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <optional>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -377,10 +378,11 @@ class CycleBuilder {
   /// Source net of a latch gate, traced back through clock buffers and
   /// inverters (CTS may hand the master and slave of one pair different
   /// buffered copies of the same gated clock; assumptions key on the source
-  /// so the pair still splits correctly).
+  /// so the pair still splits correctly). A walk longer than the net count is
+  /// a buffer loop; it stops there and the settle reports the cycle.
   std::pair<NetId, bool> clock_alias(NetId net) const {
     bool inverted = false;
-    for (;;) {
+    for (std::size_t step = 0; step <= nl_.num_nets(); ++step) {
       const CellId driver = nl_.net(net).driver;
       if (!driver.valid()) return {net, inverted};
       const Cell& cell = nl_.cell(driver);
@@ -394,6 +396,7 @@ class CycleBuilder {
         return {net, inverted};
       }
     }
+    return {net, inverted};
   }
 
   Lit eval_latch(const Cell& cell, NetId out_net) {
@@ -522,25 +525,67 @@ class CycleBuilder {
 };
 
 // ---------------------------------------------------------------------------
-// Lazy Tseitin encoding of AIG cones into the CDCL solver.
+// A CDCL solver over a lazy Tseitin encoding of AIG cones. Each proof phase
+// gets its own instance, so its clause database holds only the cones and
+// constraints that phase's queries need.
 // ---------------------------------------------------------------------------
 
-class AigCnf {
+class AigSat {
  public:
-  AigCnf(const Aig& aig, SatSolver& sat) : aig_(aig), sat_(sat) {
+  AigSat(const Aig& aig, std::int64_t conflict_limit) : aig_(aig) {
+    sat_.set_conflict_limit(conflict_limit);
     const int f = sat_.new_var();
     sat_.add_clause({SatSolver::neg_lit(f)});
     var_of_.push_back(f);  // node 0 pinned to false
   }
 
+  /// Can literals a and b differ? The miter is switched on by an activation
+  /// literal and retired by a unit clause, so later queries never see it.
+  SatResult differ(Lit a, Lit b) {
+    const int sa = sat_lit(a);
+    const int sb = sat_lit(b);
+    const int d = SatSolver::pos_lit(sat_.new_var());
+    sat_.add_clause({SatSolver::negate(d), sa, sb});
+    sat_.add_clause({SatSolver::negate(d), SatSolver::negate(sa),
+                     SatSolver::negate(sb)});
+    const std::array<int, 1> assume{d};
+    const SatResult r = sat_.solve(assume);
+    sat_.add_clause({SatSolver::negate(d)});
+    return r;
+  }
+
+  /// Can `l` be true?
+  SatResult satisfiable(Lit l) {
+    const std::array<int, 1> assume{sat_lit(l)};
+    return sat_.solve(assume);
+  }
+
+  /// Asserts `l` for every later query.
+  void assert_true(Lit l) { sat_.add_clause({sat_lit(l)}); }
+
+  /// Asserts a == b for every later query.
+  void assert_equal(Lit a, Lit b) {
+    const int sa = sat_lit(a);
+    const int sb = sat_lit(b);
+    sat_.add_clause({sa, SatSolver::negate(sb)});
+    sat_.add_clause({SatSolver::negate(sa), sb});
+  }
+
+  /// Value of `l` in the model of the last kSat answer (false when its cone
+  /// was never encoded).
+  [[nodiscard]] bool model_bit(Lit l) const {
+    const std::uint32_t node = lit_node(l);
+    const bool val = node < var_of_.size() && var_of_[node] >= 0 &&
+                     sat_.model_value(var_of_[node]);
+    return lit_neg(l) ? !val : val;
+  }
+
+  [[nodiscard]] const SatSolver& solver() const { return sat_; }
+
+ private:
   int var_of(std::uint32_t node) {
     if (node >= var_of_.size() || var_of_[node] < 0) encode(node);
     return var_of_[node];
-  }
-
-  /// SAT variable of a node if its cone has been encoded, else -1.
-  [[nodiscard]] int peek_var(std::uint32_t node) const {
-    return node < var_of_.size() ? var_of_[node] : -1;
   }
 
   int sat_lit(Lit l) {
@@ -548,7 +593,6 @@ class AigCnf {
     return lit_neg(l) ? SatSolver::neg_lit(v) : SatSolver::pos_lit(v);
   }
 
- private:
   [[nodiscard]] int lit_of_encoded(Lit l) const {
     const int v = var_of_[lit_node(l)];
     return lit_neg(l) ? SatSolver::neg_lit(v) : SatSolver::pos_lit(v);
@@ -591,7 +635,7 @@ class AigCnf {
   }
 
   const Aig& aig_;
-  SatSolver& sat_;
+  SatSolver sat_;
   std::vector<int> var_of_;  // per node; -1 = not yet encoded
 };
 
@@ -712,12 +756,14 @@ class Checker {
  public:
   Checker(const Netlist& golden, const Netlist& revised,
           const SecOptions& opt)
-      : golden_(golden), revised_(revised), opt_(opt), cnf_(aig_, sat_) {}
+      : golden_(golden),
+        revised_(revised),
+        opt_(opt),
+        frame0_(aig_, opt.sat_conflict_limit) {}
 
   SecResult run() {
     SecResult res;
     build_product(res.stats);
-    sat_.set_conflict_limit(opt_.sat_conflict_limit);
     if (ma_.po == mb_.po) {
       res.status = SecStatus::kProven;
       res.detail = "primary outputs structurally identical";
@@ -743,7 +789,6 @@ class Checker {
           break;  // fall through to BMC
       }
     }
-    retire_hypothesis();
     if (bmc(res)) return finish(res);
     res.status = SecStatus::kUnknown;
     if (res.detail.empty()) {
@@ -792,9 +837,14 @@ class Checker {
 
   SecResult& finish(SecResult& res) {
     res.stats.aig_nodes = aig_.num_nodes();
-    res.stats.sat_calls = sat_.num_solve_calls;
-    res.stats.sat_conflicts = sat_.num_conflicts;
+    count_sat_work(frame0_, res.stats);
+    if (step_) count_sat_work(*step_, res.stats);
     return res;
+  }
+
+  static void count_sat_work(const AigSat& s, SecStats& stats) {
+    stats.sat_calls += s.solver().num_solve_calls;
+    stats.sat_conflicts += s.solver().num_conflicts;
   }
 
   static std::uint64_t broadcast(bool b) { return b ? ~0ull : 0ull; }
@@ -867,57 +917,21 @@ class Checker {
     return false;
   }
 
-  /// SAT query: can literals a and b differ? When `constrained` and a round's
-  /// candidate constraints are active, the query runs under the induction
-  /// hypothesis (frame-1 candidate equalities). Uses an activation variable
-  /// so the shared clause database keeps growing monotonically across
-  /// thousands of queries.
-  SatResult check_diff(Lit a, Lit b, bool constrained = false) {
-    const int sa = cnf_.sat_lit(a);
-    const int sb = cnf_.sat_lit(b);
-    const int d = SatSolver::pos_lit(sat_.new_var());
-    sat_.add_clause({SatSolver::negate(d), sa, sb});
-    sat_.add_clause({SatSolver::negate(d), SatSolver::negate(sa),
-                     SatSolver::negate(sb)});
-    std::array<int, 2> assume{d, d};
-    std::size_t n_assume = 1;
-    if (constrained && hypothesis_ >= 0) assume[n_assume++] = hypothesis_;
-    const SatResult r =
-        sat_.solve(std::span<const int>(assume.data(), n_assume));
-    sat_.add_clause({SatSolver::negate(d)});  // retire the miter
-    return r;
-  }
-
-  /// Asserts the current candidate equalities over the *original* frame-1
-  /// functions, guarded by a fresh activation literal. Obligations checked
-  /// under this assumption test exactly the inductive step "equalities at
-  /// frame 1 imply equalities at frame 2" — without it the queries range
-  /// over unconstrained states and refute pairs that are perfectly
-  /// 1-inductive, starving the fixpoint (classic van Eijk constraints).
-  void assert_hypothesis() {
-    retire_hypothesis();
-    hypothesis_ = SatSolver::pos_lit(sat_.new_var());
-    const int na = SatSolver::negate(hypothesis_);
+  /// Starts an induction round on a fresh solver that holds the current
+  /// candidate equalities over the *original* frame-1 functions as plain
+  /// clauses. Obligations checked on it test exactly the inductive step
+  /// "equalities at frame 1 imply equalities at frame 2" — without them the
+  /// queries range over unconstrained states and refute pairs that are
+  /// perfectly 1-inductive, starving the fixpoint (classic van Eijk
+  /// constraints). The previous round's solver only contributes its counts.
+  void start_round(SecStats& stats) {
+    if (step_) count_sat_work(*step_, stats);
+    step_.emplace(aig_, opt_.sat_conflict_limit);
     for (const auto& group : cls_.groups()) {
-      if (group.size() < 2) continue;
-      const int sr = cnf_.sat_lit(group[0]);
       for (std::size_t k = 1; k < group.size(); ++k) {
-        const int sm = cnf_.sat_lit(group[k]);
-        sat_.add_clause({na, sm, SatSolver::negate(sr)});
-        sat_.add_clause({na, SatSolver::negate(sm), sr});
+        step_->assert_equal(group[0], group[k]);
       }
     }
-  }
-
-  void retire_hypothesis() {
-    if (hypothesis_ >= 0) sat_.add_clause({SatSolver::negate(hypothesis_)});
-    hypothesis_ = -1;
-  }
-
-  [[nodiscard]] bool model_bit(Lit l) const {
-    const int v = cnf_.peek_var(lit_node(l));
-    const bool val = v >= 0 && sat_.model_value(v);
-    return lit_neg(l) ? !val : val;
   }
 
   /// Frame-0 instantiation: state pinned to reset, previous-cycle PIs to 0
@@ -946,7 +960,7 @@ class Checker {
         const Lit b_rep = apply_map(base_, group[0]);
         const Lit b_mem = apply_map(base_, group[k]);
         if (b_rep == b_mem) continue;
-        if (check_diff(b_rep, b_mem) != SatResult::kUnsat) {
+        if (frame0_.differ(b_rep, b_mem) != SatResult::kUnsat) {
           doomed.push_back(group[k]);
         }
       }
@@ -958,16 +972,17 @@ class Checker {
   /// model (frame 2 fed the *real* frame-1 next-state) and split every class
   /// by the real frame-2 values.
   void refine_by_witness() {
+    const AigSat& w = *step_;
     std::vector<std::uint64_t> in(aig_.num_inputs(), 0);
     for (std::size_t i = 0; i < num_pi_; ++i) {
-      in[i] = broadcast(model_bit(pi_prev_[i]));
-      in[num_pi_ + i] = broadcast(model_bit(pi_now_[i]));
+      in[i] = broadcast(w.model_bit(pi_prev_[i]));
+      in[num_pi_ + i] = broadcast(w.model_bit(pi_now_[i]));
     }
     for (std::size_t s = 0; s < next_state_.size(); ++s) {
       const Lit state_in = s < ma_.state_in.size()
                                ? ma_.state_in[s]
                                : mb_.state_in[s - ma_.state_in.size()];
-      in[2 * num_pi_ + s] = broadcast(model_bit(state_in));
+      in[2 * num_pi_ + s] = broadcast(w.model_bit(state_in));
     }
     aig_.simulate(in, words_);
     std::vector<std::uint64_t> ns(next_state_.size());
@@ -977,7 +992,7 @@ class Checker {
     std::vector<std::uint64_t> in2(aig_.num_inputs(), 0);
     for (std::size_t i = 0; i < num_pi_; ++i) {
       in2[i] = in[num_pi_ + i];
-      in2[num_pi_ + i] = broadcast(model_bit(i2_[i]));
+      in2[num_pi_ + i] = broadcast(w.model_bit(i2_[i]));
     }
     for (std::size_t s = 0; s < next_state_.size(); ++s) {
       in2[2 * num_pi_ + s] = ns[s];
@@ -995,7 +1010,7 @@ class Checker {
     for (int round = 0; round < opt_.max_rounds; ++round) {
       stats.rounds = round + 1;
       bool changed = false;
-      assert_hypothesis();
+      start_round(stats);
       std::vector<Lit> spec1(n_machine_);
       for (std::uint32_t n = 0; n < n_machine_; ++n) spec1[n] = make_lit(n);
       for (const auto& group : cls_.groups()) {
@@ -1032,7 +1047,7 @@ class Checker {
           f2_[n] = target;
           continue;
         }
-        switch (check_diff(computed, target, /*constrained=*/true)) {
+        switch (step_->differ(computed, target)) {
           case SatResult::kUnsat:
             f2_[n] = target;  // speculation holds for downstream logic
             break;
@@ -1049,9 +1064,8 @@ class Checker {
             break;
         }
       }
-      if (!changed) return true;  // hypothesis stays active for po_check()
+      if (!changed) return true;  // po_check() reuses this round's solver
     }
-    retire_hypothesis();
     return false;
   }
 
@@ -1063,13 +1077,13 @@ class Checker {
       const Lit a0 = apply_map(base_, ma_.po[k]);
       const Lit b0 = apply_map(base_, mb_.po[k]);
       if (a0 != b0) {
-        switch (check_diff(a0, b0)) {
+        switch (frame0_.differ(a0, b0)) {
           case SatResult::kUnsat:
             break;
           case SatResult::kSat: {
             Stimulus stim(1, std::vector<std::uint8_t>(num_pi_, 0));
             for (std::size_t i = 0; i < num_pi_; ++i) {
-              stim[0][i] = model_bit(pi_now_[i]) ? 1 : 0;
+              stim[0][i] = frame0_.model_bit(pi_now_[i]) ? 1 : 0;
             }
             if (falsify(std::move(stim), res, "reset-frame check")) {
               return SecStatus::kFalsified;
@@ -1083,7 +1097,7 @@ class Checker {
       const Lit a2 = apply_map(f2_, ma_.po[k]);
       const Lit b2 = apply_map(f2_, mb_.po[k]);
       if (a2 == b2) continue;
-      if (check_diff(a2, b2, /*constrained=*/true) != SatResult::kUnsat) {
+      if (step_->differ(a2, b2) != SatResult::kUnsat) {
         return SecStatus::kUnknown;
       }
     }
@@ -1115,15 +1129,13 @@ class Checker {
       }
       res.stats.bmc_depth = f + 1;
       if (miter != kLitFalse) {
-        const int ml = cnf_.sat_lit(miter);
-        const std::array<int, 1> assume{ml};
-        switch (sat_.solve(assume)) {
+        switch (frame0_.satisfiable(miter)) {
           case SatResult::kSat: {
             Stimulus stim(static_cast<std::size_t>(f) + 1,
                           std::vector<std::uint8_t>(num_pi_, 0));
             for (std::size_t c = 0; c <= static_cast<std::size_t>(f); ++c) {
               for (std::size_t i = 0; i < num_pi_; ++i) {
-                stim[c][i] = model_bit(frame_pi[c][i]) ? 1 : 0;
+                stim[c][i] = frame0_.model_bit(frame_pi[c][i]) ? 1 : 0;
               }
             }
             return falsify(std::move(stim), res,
@@ -1135,7 +1147,7 @@ class Checker {
                          std::to_string(f + 1);
             return false;
           case SatResult::kUnsat:
-            sat_.add_clause({SatSolver::negate(ml)});
+            frame0_.assert_true(lit_not(miter));
             break;
         }
       }
@@ -1152,10 +1164,11 @@ class Checker {
   SecOptions opt_;
 
   Aig aig_;
-  SatSolver sat_;
-  AigCnf cnf_;
+  // Reset-frame solver: base filter, frame-0 output check and BMC. None of
+  // its queries assume the induction hypothesis.
+  AigSat frame0_;
+  std::optional<AigSat> step_;  // the current induction round's solver
   Classes cls_;
-  int hypothesis_ = -1;  // activation literal of the asserted candidate set
 
   Machine ma_, mb_;
   std::size_t num_pi_ = 0;

@@ -23,9 +23,11 @@
 //     Eijk-style signal correspondence): candidate members are substituted by
 //     their class representative while unrolling the second time frame, and
 //     each substitution leaves a proof obligation that is discharged
-//     structurally or by the built-in CDCL solver (sat.hpp). Refuted
-//     candidates are split by re-simulating the SAT witness and the round
-//     repeats to a fixpoint.
+//     structurally or by the built-in CDCL solver (sat.hpp). Each round runs
+//     on a fresh solver holding that round's candidate equalities as plain
+//     clauses; the reset-frame queries (base filter, frame-0 output check,
+//     BMC) share a solver of their own. Refuted candidates are split by
+//     re-simulating the SAT witness and the round repeats to a fixpoint.
 //  4. Output equality is checked under the proven invariants; if that is
 //     inconclusive, bounded model checking from reset searches for a real
 //     divergence. Any falsification is replayed in simulation and
@@ -74,7 +76,7 @@ struct SecStats {
   std::size_t revised_state_bits = 0;
   std::size_t candidate_pairs = 0;   // after base-case filtering
   std::size_t proven_structural = 0; // obligations discharged by hashing
-  std::int64_t sat_calls = 0;
+  std::int64_t sat_calls = 0;  // summed over every solver of the proof
   std::int64_t sat_conflicts = 0;
   int rounds = 0;       // induction rounds to fixpoint
   int bmc_depth = 0;    // frames actually unrolled during falsification

@@ -169,6 +169,23 @@ TEST(CheckRules, ClockNetworkLoopIsReachabilityError) {
   EXPECT_FALSE(label->clocked);
 }
 
+TEST(CheckRules, DetClockOnBufferLoopTerminates) {
+  // A dual-edge FF clocked from a two-buffer loop: the DET rule's walk back
+  // to a divider must stop at the net count instead of circling forever,
+  // and the clock does not come from a divide-by-two.
+  Chain c = three_phase_chain();
+  const NetId la = c.nl.add_net("loop_a");
+  const NetId lb = c.nl.add_net("loop_b");
+  c.nl.add_cell(CellKind::kClkBuf, "loop_buf_a", {lb}, la);
+  c.nl.add_cell(CellKind::kClkBuf, "loop_buf_b", {la}, lb);
+  const NetId q = c.nl.add_net("det_q");
+  c.nl.add_cell(CellKind::kDffDet, "det", {c.din_net, la}, q);
+  c.nl.add_output("det_out", q);
+  const CheckReport report = run_checks(c.nl);
+  EXPECT_EQ(report.count(RuleId::kDetClocking), 1) << report.to_text();
+  EXPECT_GE(report.count(RuleId::kClockReachability), 1);
+}
+
 TEST(CheckRules, DeepClockBufferChainIsCleanAndClocked) {
   // A 200,000-stage clock-buffer chain from external Verilog: the clock
   // walk is iterative and bounded only by the net count, so checks,

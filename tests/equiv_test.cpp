@@ -155,6 +155,127 @@ TEST(Sat, RandomThreeSatAgreesWithBruteForce) {
   }
 }
 
+bool satisfied_by(const std::vector<int>& clause, std::uint32_t bits) {
+  return std::any_of(clause.begin(), clause.end(), [&](int lit) {
+    return (((bits >> (lit >> 1)) & 1) != 0) != ((lit & 1) != 0);
+  });
+}
+
+TEST(Sat, IncrementalQueriesAgreeWithBruteForce) {
+  // One solver answers a stream of queries the way the SEC engine uses it:
+  // clauses arrive between calls, each call carries its own assumptions, and
+  // some calls ask "can a and b differ?" through a miter switched on by an
+  // activation literal and retired by a unit clause afterwards.
+  constexpr int kVars = 12;
+  Rng rng(2024);
+  SatSolver s;
+  for (int v = 0; v < kVars; ++v) s.new_var();
+  const auto random_lit = [&] {
+    const int v = static_cast<int>(rng.below(kVars));
+    return rng.chance(0.5) ? SatSolver::pos_lit(v) : SatSolver::neg_lit(v);
+  };
+  std::vector<std::vector<int>> clauses;
+  int sat_answers = 0, unsat_answers = 0;
+  for (int query = 0; query < 200; ++query) {
+    if (rng.chance(0.25)) {
+      clauses.push_back({random_lit(), random_lit(), random_lit()});
+      s.add_clause(clauses.back());
+    }
+    // Constraints of this query only, over the problem variables: each
+    // assumption as a unit clause, the miter as a != b.
+    std::vector<std::vector<int>> query_clauses;
+    std::vector<int> assume;
+    int activation = -1;
+    if (rng.chance(0.5)) {
+      const int a = random_lit(), b = random_lit();
+      activation = SatSolver::pos_lit(s.new_var());
+      s.add_clause({SatSolver::negate(activation), a, b});
+      s.add_clause({SatSolver::negate(activation), SatSolver::negate(a),
+                    SatSolver::negate(b)});
+      assume.push_back(activation);
+      query_clauses.push_back({a, b});
+      query_clauses.push_back({SatSolver::negate(a), SatSolver::negate(b)});
+    }
+    const int num_assumptions = static_cast<int>(rng.below(4));
+    for (int k = 0; k < num_assumptions; ++k) {
+      assume.push_back(random_lit());
+      query_clauses.push_back({assume.back()});
+    }
+
+    bool satisfiable = false;
+    for (std::uint32_t bits = 0; bits < (1u << kVars) && !satisfiable;
+         ++bits) {
+      const auto holds = [&](const std::vector<int>& cl) {
+        return satisfied_by(cl, bits);
+      };
+      satisfiable = std::all_of(clauses.begin(), clauses.end(), holds) &&
+                    std::all_of(query_clauses.begin(), query_clauses.end(),
+                                holds);
+    }
+
+    const SatResult result = s.solve(assume);
+    ASSERT_EQ(result, satisfiable ? SatResult::kSat : SatResult::kUnsat)
+        << "query " << query;
+    if (result == SatResult::kSat) {
+      ++sat_answers;
+      std::uint32_t model = 0;
+      for (int v = 0; v < kVars; ++v) {
+        if (s.model_value(v)) model |= 1u << v;
+      }
+      for (const auto& clause : clauses) {
+        EXPECT_TRUE(satisfied_by(clause, model)) << "query " << query;
+      }
+      for (const auto& clause : query_clauses) {
+        EXPECT_TRUE(satisfied_by(clause, model)) << "query " << query;
+      }
+    } else {
+      ++unsat_answers;
+    }
+    if (activation >= 0) s.add_clause({SatSolver::negate(activation)});
+  }
+  // The stream must exercise both answers, or it checks half the solver.
+  EXPECT_GE(sat_answers, 10);
+  EXPECT_GE(unsat_answers, 10);
+}
+
+TEST(Sat, ConflictLimitGivesUnknownAndSolverStaysUsable) {
+  // Five pigeons in four holes, every clause guarded by `g`: unsatisfiable
+  // under g, but no single conflict refutes it.
+  constexpr int kPigeons = 5, kHoles = 4;
+  SatSolver s;
+  const int g = SatSolver::pos_lit(s.new_var());
+  std::vector<std::vector<int>> in(kPigeons, std::vector<int>(kHoles));
+  for (auto& row : in) {
+    for (int& var : row) var = s.new_var();
+  }
+  for (int p = 0; p < kPigeons; ++p) {
+    std::vector<int> somewhere{SatSolver::negate(g)};
+    for (int h = 0; h < kHoles; ++h) {
+      somewhere.push_back(SatSolver::pos_lit(in[p][h]));
+    }
+    s.add_clause(somewhere);
+  }
+  for (int h = 0; h < kHoles; ++h) {
+    for (int p = 0; p < kPigeons; ++p) {
+      for (int q = p + 1; q < kPigeons; ++q) {
+        s.add_clause({SatSolver::negate(g), SatSolver::neg_lit(in[p][h]),
+                      SatSolver::neg_lit(in[q][h])});
+      }
+    }
+  }
+  const std::vector<int> under_g{g};
+  s.set_conflict_limit(1);
+  EXPECT_EQ(s.solve(under_g), SatResult::kUnknown);
+  EXPECT_EQ(s.num_conflicts, 1);
+  // The budget ran out mid-search; the next queries start clean.
+  const std::vector<int> without_g{SatSolver::negate(g)};
+  ASSERT_EQ(s.solve(without_g), SatResult::kSat);
+  EXPECT_FALSE(s.model_value(g >> 1));
+  s.set_conflict_limit(0);
+  EXPECT_EQ(s.solve(under_g), SatResult::kUnsat);
+  EXPECT_EQ(s.solve(), SatResult::kSat);
+}
+
 // --- counterexample plumbing ----------------------------------------------
 
 TEST(Cex, MapDataInputsMatchesByName) {
