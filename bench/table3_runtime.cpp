@@ -3,9 +3,9 @@
 // +204% vs FF and +44% vs M-S overall, with the ILP solver below 1% of the
 // total (<= 27 s with Gurobi) and clock-tree synthesis roughly 3x because
 // three trees are routed. Hold repair is accounted in its own column
-// (StepTimes::hold_s), separate from the STA signoff pass (sta), and the
-// stage columns add up to each row's total. sta.full/sta.inc, after the
-// total, split the STA seconds already counted in hold and sta.
+// (StepTimes::hold_s), separate from the STA signoff pass (sta). The ilp
+// column is the share of convert spent in phase assignment; the other
+// stage columns add up to each row's total.
 //
 // The 5x3 grid runs through the flow-matrix engine. Each flow runs whole on
 // one thread, so its per-step times count only its own work at any
@@ -39,11 +39,9 @@ int main(int argc, char** argv) {
   const std::size_t num_styles = plan.styles.size();
 
   std::printf("Run-time decomposition (seconds)\n\n");
-  std::printf("%-8s %-4s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s "
-              "%8s\n",
+  std::printf("%-8s %-4s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s\n",
               "design", "style", "synth", "ilp", "convert", "retime", "cg",
-              "hold", "place", "cts", "sta", "sim", "total", "sta.full",
-              "sta.inc");
+              "hold", "place", "cts", "sta", "sim", "total");
   double total[3] = {0, 0, 0};
   double ilp_total = 0, cts_total[3] = {0, 0, 0};
   for (std::size_t b = 0; b < plan.benchmarks.size(); ++b) {
@@ -51,12 +49,12 @@ int main(int argc, char** argv) {
       const MatrixResult& run = results[b * num_styles + i];
       const StepTimes& t = run.result.times;
       std::printf("%-8s %-4s %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f "
-                  "%8.3f %8.3f %8.3f %8.3f %8.3f %8.3f\n",
+                  "%8.3f %8.3f %8.3f %8.3f\n",
                   run.task.benchmark.c_str(),
                   std::string(style_name(run.task.style)).c_str(),
                   t.synthesis_s, t.ilp_s, t.convert_s, t.retime_s,
                   t.clock_gating_s, t.hold_s, t.place_s, t.cts_s, t.timing_s,
-                  t.sim_s, t.total_s(), t.sta_full_s, t.sta_incremental_s);
+                  t.sim_s, t.total_s());
       std::fflush(stdout);
       total[i] += t.total_s();
       cts_total[i] += t.cts_s;

@@ -65,7 +65,9 @@ int main(int argc, char** argv) {
                   "use the greedy phase heuristic (not the ILP)");
   parser.add_flag("--no-retime", &no_retime, "skip modified retiming");
   parser.add_flag("--no-cg", &no_cg, "skip common-enable p2 clock gating");
-  parser.add_flag("--no-m1", &no_m1, "skip the M1 gating method");
+  parser.add_flag("--no-m1", &no_m1,
+                  "no M1 cells in the p2 common-enable gating (DDCG keeps "
+                  "them)");
   parser.add_flag("--no-m2", &no_m2, "skip the M2 gating method");
   parser.add_flag("--no-ddcg", &no_ddcg, "skip data-driven clock gating");
   parser.add_flag("--check", &check,
@@ -193,12 +195,17 @@ int main(int argc, char** argv) {
                 r.timing.hold_ok ? "OK" : "FAIL",
                 r.timing.worst_hold_slack_ps);
     if (options.hold_repair) {
-      std::printf("  hold repair      %d buffer(s), %.3f s\n",
-                  r.hold.buffers_inserted, r.times.hold_s);
+      std::printf("  hold repair      %d buffer(s) in %d pass(es)\n",
+                  r.hold.buffers_inserted, r.hold.passes);
     }
-    std::printf("  STA split        full %.3f s, incremental %.3f s%s\n",
-                r.times.sta_full_s, r.times.sta_incremental_s,
-                options.incremental_timing ? "" : " (session off)");
+    const StepTimes& t = r.times;
+    std::printf("  stage times      synthesis %.3f, convert %.3f (ILP %.3f), "
+                "retime %.3f, gating %.3f, hold %.3f, sta %.3f, place "
+                "%.3f, cts %.3f, sim %.3f, sec %.3f, lint %.3f, total "
+                "%.3f s\n",
+                t.synthesis_s, t.convert_s, t.ilp_s, t.retime_s,
+                t.clock_gating_s, t.hold_s, t.timing_s, t.place_s, t.cts_s,
+                t.sim_s, t.equiv_s, t.lint_s, t.total_s());
     if (style == DesignStyle::kTwoPhase) {
       std::printf("  duplicated ICGs  %d (clkbar side)\n",
                   r.duplicated_icgs);
@@ -212,8 +219,6 @@ int main(int argc, char** argv) {
       std::printf("  clock gating     %d common-enable, %d DDCG, M2 %d/%d\n",
                   r.p2_gating.p2_latches_gated, r.ddcg.latches_gated,
                   r.m2.converted, r.m2.converted + r.m2.kept);
-      std::printf("  flow run time    %.2f s (ILP %.3f s)\n",
-                  r.times.total_s(), r.times.ilp_s);
     }
     if (options.check_equivalence) {
       for (const StageCheck& stage : r.equiv.stages) {

@@ -860,7 +860,7 @@ class Checker {
       }
       return false;
     }
-    if (opt_.minimize_cex) minimize(golden_, revised_, cex);
+    minimize(golden_, revised_, cex);
     res.status = SecStatus::kFalsified;
     res.cex = std::move(cex);
     res.detail = origin + ": " + res.cex.to_string();

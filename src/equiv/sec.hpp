@@ -56,8 +56,6 @@ struct SecOptions {
   int bmc_frames = 24;
   /// Per-query conflict budget of the SAT solver (0 = unlimited).
   std::int64_t sat_conflict_limit = 200'000;
-  /// ddmin-shrink counterexamples before reporting them.
-  bool minimize_cex = true;
   /// Seed for the candidate-grouping simulation.
   std::uint64_t seed = 0xC0FFEE;
 };

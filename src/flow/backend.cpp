@@ -59,19 +59,15 @@ class FlipFlopBackend final : public ConversionBackend {
   [[nodiscard]] std::string_view description() const override {
     return "flip-flop baseline: the synthesized design unchanged";
   }
-  void convert(FlowContext& ctx) const override {
+  void convert(FlowContext&) const override {
     // Nothing to convert; the FF netlist is the reference point every
     // other backend is compared (and SEC-proven) against.
-    ctx.result.times.convert_s = 0;
   }
   [[nodiscard]] std::vector<RuleId> rule_set() const override {
     return {RuleId::kClockReachability, RuleId::kConstantClock,
             RuleId::kCombCycle,           RuleId::kFloatingNet,
             RuleId::kMultipleDrivers,     RuleId::kCdcUnsync,
             RuleId::kCdcReconverge,       RuleId::kRdcCrossing};
-  }
-  [[nodiscard]] std::vector<CellKind> cells() const override {
-    return {CellKind::kDff};
   }
   RuleId seed_violation(Netlist& netlist) const override {
     // Rewire a flip-flop's clock pin onto its own data net: the backward
@@ -99,15 +95,11 @@ class MasterSlaveBackend final : public ConversionBackend {
            "net, slaves retimed into the logic";
   }
   void convert(FlowContext& ctx) const override {
-    Stopwatch step;
     ctx.netlist = to_master_slave(ctx.netlist);
-    ctx.result.times.convert_s = step.seconds();
     ctx.checkpoint("convert");
-    step.reset();
     if (ctx.options.retime && ctx.options.retime_master_slave) {
       ctx.result.retime = retime_with_closure(ctx.netlist, ctx.library,
                                               Phase::kClk, ctx.options.timing);
-      ctx.result.times.retime_s = step.seconds();
       ctx.checkpoint("retime");
     }
   }
@@ -115,9 +107,6 @@ class MasterSlaveBackend final : public ConversionBackend {
     return {RuleId::kClockReachability, RuleId::kConstantClock,
             RuleId::kScheduleSanity,      RuleId::kCdcUnsync,
             RuleId::kCdcReconverge,       RuleId::kRdcCrossing};
-  }
-  [[nodiscard]] std::vector<CellKind> cells() const override {
-    return {CellKind::kLatchL, CellKind::kLatchH};
   }
   RuleId seed_violation(Netlist& netlist) const override {
     // Tie a latch gate to constant 1: permanently transparent.
@@ -150,13 +139,12 @@ class ThreePhaseBackend final : public ConversionBackend {
     Netlist& netlist = ctx.netlist;
     FlowResult& result = ctx.result;
     const FlowOptions& options = ctx.options;
-    Stopwatch step;
-    // ILP timed apart from the netlist rebuild (the paper reports the
-    // solver at < 1% of total run time).
+    // The ILP share of the convert stage, timed apart (the paper reports
+    // the solver at < 1% of total run time).
+    const Stopwatch ilp;
     const RegisterGraph graph = build_register_graph(netlist);
     result.assignment = assign_phases(graph, options.assign);
-    result.times.ilp_s = step.seconds();
-    step.reset();
+    result.times.ilp_s = ilp.seconds();
 
     ThreePhaseOptions convert_options;
     convert_options.precomputed = &result.assignment;
@@ -164,36 +152,27 @@ class ThreePhaseBackend final : public ConversionBackend {
     netlist = std::move(converted.netlist);
     result.inserted_p2 = converted.inserted_p2;
     result.duplicated_icgs = converted.duplicated_icgs;
-    result.times.convert_s = step.seconds();
     ctx.checkpoint("convert");
-    step.reset();
 
     if (options.retime) {
       result.retime = retime_with_closure(netlist, ctx.library, Phase::kP2,
                                           options.timing);
-      result.times.retime_s = step.seconds();
       ctx.checkpoint("retime");
-      step.reset();
     }
 
     if (options.p2_common_enable_cg) {
       result.p2_gating = gate_p2_latches(netlist, {.use_m1 = options.use_m1});
-      result.times.clock_gating_s += step.seconds();
       ctx.checkpoint("p2-gating");
-      step.reset();
     }
     if (options.use_m2) {
       result.m2 = apply_m2(netlist);
-      result.times.clock_gating_s += step.seconds();
       ctx.checkpoint("m2");
-      step.reset();
     }
     if (options.ddcg) {
       // DDCG needs switching activity of this very netlist (Sec. V:
       // gate-level simulations drive the data-driven clock gating).
       const ActivityStats activity = ctx.activity();
       result.ddcg = apply_ddcg(netlist, activity, options.ddcg_options);
-      result.times.clock_gating_s += step.seconds();
       ctx.checkpoint("ddcg");
     }
   }
@@ -204,10 +183,6 @@ class ThreePhaseBackend final : public ConversionBackend {
             RuleId::kM1BorrowWindow,   RuleId::kM2EnablePhase,
             RuleId::kCdcUnsync,        RuleId::kCdcReconverge,
             RuleId::kRdcCrossing};
-  }
-  [[nodiscard]] std::vector<CellKind> cells() const override {
-    return {CellKind::kLatchH, CellKind::kIcg, CellKind::kIcgM1,
-            CellKind::kIcgNoLatch};
   }
   RuleId seed_violation(Netlist& netlist) const override {
     // Preferred seed: bypass an inserted p2 latch sitting between a p3
@@ -263,21 +238,16 @@ class PulsedLatchBackend final : public ConversionBackend {
            "behavior at latch cost (hold-repair heavy)";
   }
   void convert(FlowContext& ctx) const override {
-    Stopwatch step;
     PulsedLatchResult converted =
         to_pulsed_latch(ctx.netlist, ctx.options.pulsed_latch);
     ctx.netlist = std::move(converted.netlist);
     ctx.result.pulse_generators = converted.pulse_generators;
-    ctx.result.times.convert_s = step.seconds();
     ctx.checkpoint("convert");
   }
   [[nodiscard]] std::vector<RuleId> rule_set() const override {
     return {RuleId::kPulseWidth,     RuleId::kClockReachability,
             RuleId::kScheduleSanity, RuleId::kCdcUnsync,
             RuleId::kCdcReconverge,  RuleId::kRdcCrossing};
-  }
-  [[nodiscard]] std::vector<CellKind> cells() const override {
-    return {CellKind::kLatchP};
   }
   RuleId seed_violation(Netlist& netlist) const override {
     // Stretch the pulse past half the cycle: the latches degenerate into
@@ -307,21 +277,16 @@ class TwoPhaseBackend final : public ConversionBackend {
            "clk, guard gaps on both hand-offs";
   }
   void convert(FlowContext& ctx) const override {
-    Stopwatch step;
     TwoPhaseResult converted =
         to_two_phase(ctx.netlist, ctx.options.two_phase);
     ctx.netlist = std::move(converted.netlist);
     ctx.result.duplicated_icgs = converted.duplicated_icgs;
-    ctx.result.times.convert_s = step.seconds();
     ctx.checkpoint("convert");
   }
   [[nodiscard]] std::vector<RuleId> rule_set() const override {
     return {RuleId::kTwoPhaseNonOverlap, RuleId::kClockReachability,
             RuleId::kScheduleSanity,     RuleId::kCdcUnsync,
             RuleId::kCdcReconverge,      RuleId::kRdcCrossing};
-  }
-  [[nodiscard]] std::vector<CellKind> cells() const override {
-    return {CellKind::kLatchH};
   }
   RuleId seed_violation(Netlist& netlist) const override {
     // Erase the guard gap between clk's fall and clkbar's rise. The
@@ -357,20 +322,15 @@ class DetFfBackend final : public ConversionBackend {
            "clock-network edges per cycle";
   }
   void convert(FlowContext& ctx) const override {
-    Stopwatch step;
     DetFfResult converted = to_det_ff(ctx.netlist);
     ctx.netlist = std::move(converted.netlist);
     ctx.result.dividers = converted.dividers;
-    ctx.result.times.convert_s = step.seconds();
     ctx.checkpoint("convert");
   }
   [[nodiscard]] std::vector<RuleId> rule_set() const override {
     return {RuleId::kDetClocking,    RuleId::kClockReachability,
             RuleId::kScheduleSanity, RuleId::kCdcUnsync,
             RuleId::kCdcReconverge,  RuleId::kRdcCrossing};
-  }
-  [[nodiscard]] std::vector<CellKind> cells() const override {
-    return {CellKind::kDffDet, CellKind::kClkDiv2};
   }
   RuleId seed_violation(Netlist& netlist) const override {
     // Reconnect a DET FF's clock pin past its divider to the full-rate

@@ -5,9 +5,8 @@
 // the shared synthesis front-end (clock-gating inference + buffering) and
 // the shared back-end (hold repair, STA, place, CTS, simulation, power).
 // It declares its stable serialization token (CLIs, serve protocol, cache
-// keys), the lint rules that encode its phase discipline, the sequencing
-// cells it introduces, and a canonical seeded violation proving those
-// rules actually catch its illegal forms.
+// keys), the lint rules that encode its phase discipline, and a canonical
+// seeded violation proving those rules actually catch its illegal forms.
 //
 // The registry is the single source of truth for style<->token mapping:
 // style_from_name()/style_token() (serialize.hpp), the --backend/--style
@@ -26,15 +25,16 @@ namespace tp::flow {
 
 /// What a backend's conversion pipeline reads and mutates: the working
 /// netlist (FF form on entry, converted form on exit), the run's options
-/// and result (for per-stage metrics and times), plus the flow's
-/// checkpoint and activity hooks.
+/// and result (for per-stage metrics), plus the flow's checkpoint and
+/// activity hooks.
 struct FlowContext {
   Netlist& netlist;
   const FlowOptions& options;
   const CellLibrary& library;
   FlowResult& result;
-  /// Runs the stage hook and the opt-in SEC/lint checkpoints on the
-  /// current working netlist under the given stage name.
+  /// Closes the named stage: runs the stage hook, adds the stage's time
+  /// (the hook's included) to its StepTimes field, then runs the opt-in
+  /// SEC/lint checkpoints on the current working netlist.
   std::function<void(std::string_view)> checkpoint;
   /// Gate-level switching activity of the current working netlist under
   /// the run's stimulus lanes (the DDCG data dependence, Sec. V).
@@ -56,7 +56,7 @@ class ConversionBackend {
 
   /// Runs the backend's conversion pipeline on ctx.netlist, including any
   /// style-specific retiming/gating stages, calling ctx.checkpoint after
-  /// each stage and accounting wall-clock into ctx.result.times.
+  /// each stage; the checkpoint accounts the stage's wall clock.
   virtual void convert(FlowContext& ctx) const = 0;
 
   /// The lint rules encoding this backend's phase discipline — what
@@ -64,9 +64,6 @@ class ConversionBackend {
   /// non-vacuous. run_checks() always evaluates the full registry; rules
   /// self-gate on the netlist features their discipline introduces.
   [[nodiscard]] virtual std::vector<check::RuleId> rule_set() const = 0;
-
-  /// Sequencing / clock cell kinds the conversion introduces.
-  [[nodiscard]] virtual std::vector<CellKind> cells() const = 0;
 
   /// Plants one canonical violation of this backend's discipline into a
   /// converted netlist and returns the rule expected to flag it. Powers

@@ -1,7 +1,6 @@
 #include "src/flow/flow.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "src/analysis/analysis.hpp"
 #include "src/flow/backend.hpp"
@@ -25,6 +24,18 @@ OutputStream simulate(const Netlist& netlist, std::span<const Stimulus> lanes,
   sim.stop_vcd();
   if (activity_out) *activity_out = sim.stats();
   return stream;
+}
+
+/// The StepTimes field a checkpoint closes. Stages a backend adds later
+/// count as conversion.
+double& stage_time(StepTimes& times, std::string_view stage) {
+  if (stage == "synthesis") return times.synthesis_s;
+  if (stage == "retime") return times.retime_s;
+  if (stage == "p2-gating" || stage == "m2" || stage == "ddcg") {
+    return times.clock_gating_s;
+  }
+  if (stage == "hold-repair") return times.hold_s;
+  return times.convert_s;
 }
 
 }  // namespace
@@ -70,7 +81,14 @@ FlowResult run_flow(const circuits::Benchmark& benchmark, DesignStyle style,
   backend.adjust_library(library);
   FlowResult result;
   result.style = style;
-  Stopwatch step;
+  // The one stage clock: every StepTimes field but ilp_s is a lap of it.
+  Stopwatch clock;
+  const auto lap = [&](double& field) {
+    const double seconds = clock.seconds();
+    field += seconds;
+    clock.reset();
+    return seconds;
+  };
 
   Netlist netlist = benchmark.netlist;
   // The lint cap must track the flow's own DDCG configuration, otherwise a
@@ -83,26 +101,24 @@ FlowResult run_flow(const circuits::Benchmark& benchmark, DesignStyle style,
   analysis_options.timing = options.timing;
   analysis_options.borrow_budget_ps = options.borrow_budget_ps;
 
-  // The stage hook runs first so tests can inject a fault "inside" a stage
-  // and assert the checkpoint blames it. Each checkpoint then checks the
-  // live netlist: SEC proves it still matches the input FF design; lint
-  // runs the structural rules, the dataflow analyses, or both merged into
-  // one report. Callers must reset `step` afterwards — checkpoint time is
-  // accounted to times.equiv_s/lint_s, not to the surrounding stage.
+  // Closes a stage. The stage hook runs first, so tests can inject a fault
+  // "inside" a stage and assert the checkpoint blames it; its time counts
+  // toward the stage. Then SEC proves the live netlist still matches the
+  // input FF design, and lint runs the structural rules, the dataflow
+  // analyses, or both merged into one report; their time goes to
+  // equiv_s/lint_s, and the next stage starts after them.
   const auto checkpoint = [&](std::string_view stage) {
     if (options.stage_hook) options.stage_hook(netlist, stage);
+    lap(stage_time(result.times, stage));
     if (options.check_equivalence) {
-      Stopwatch watch;
       StageCheck check;
       check.stage = std::string(stage);
       check.result = equiv::check_sequential_equivalence(benchmark.netlist,
                                                          netlist, options.sec);
-      check.seconds = watch.seconds();
-      result.times.equiv_s += check.seconds;
+      check.seconds = lap(result.times.equiv_s);
       result.equiv.stages.push_back(std::move(check));
     }
     if (options.check_rules || options.check_analysis) {
-      Stopwatch watch;
       StageLint lint;
       lint.stage = std::string(stage);
       if (options.check_rules) {
@@ -111,8 +127,7 @@ FlowResult run_flow(const circuits::Benchmark& benchmark, DesignStyle style,
       if (options.check_analysis) {
         lint.report.merge(analysis::run_analysis(netlist, analysis_options));
       }
-      lint.seconds = watch.seconds();
-      result.times.lint_s += lint.seconds;
+      lint.seconds = lap(result.times.lint_s);
       result.lint.stages.push_back(std::move(lint));
     }
   };
@@ -120,16 +135,14 @@ FlowResult run_flow(const circuits::Benchmark& benchmark, DesignStyle style,
   // 1. "Synthesis": lower enables to the configured clock-gating style.
   result.synthesis_cg = infer_clock_gating(netlist, options.synthesis_cg);
   result.buffering = buffer_high_fanout(netlist, options.buffering);
-  result.times.synthesis_s = step.seconds();
   checkpoint("synthesis");
-  step.reset();
 
   // 2. Conversion: dispatch to the style's registered backend
   // (src/flow/backend.hpp). The backend runs its whole conversion segment —
   // including style-specific retiming and clock-gating stages — calling
-  // `checkpoint` after each stage and accounting times itself. The activity
-  // hook simulates the *current* working netlist (DDCG's data dependence);
-  // the VCD option applies to the final validation simulation only.
+  // `checkpoint` to close each stage. The activity hook simulates the
+  // *current* working netlist (DDCG's data dependence); the VCD option
+  // applies to the final validation simulation only.
   FlowContext ctx{
       .netlist = netlist,
       .options = options,
@@ -145,50 +158,33 @@ FlowResult run_flow(const circuits::Benchmark& benchmark, DesignStyle style,
           },
   };
   backend.convert(ctx);
-  step.reset();
+  lap(result.times.convert_s);  // after the backend's last checkpoint
 
-  // 3. Hold repair, then timing signoff (accounted separately: hold_s is
-  // buffer insertion work, timing_s is the STA pass). One incremental
-  // session spans both: repair passes after the first re-time only the
-  // cones of the buffers just inserted, and the signoff patches from the
-  // repaired state instead of running a sixth cold STA.
-  std::optional<IncrementalTimer> timer;
-  if (options.incremental_timing) {
-    netlist.enable_journal();
-    timer.emplace(library, options.timing);
-  }
+  // 3. Hold repair, then timing signoff, through one IncrementalTimer
+  // session. With the journal on, repair passes after the first re-time
+  // only the cones of the buffers just inserted, and the signoff patches
+  // from the repaired state; with it off, every sync is a full analysis.
+  if (options.incremental_timing) netlist.enable_journal();
+  IncrementalTimer timer(library, options.timing);
   if (options.hold_repair) {
-    result.hold = repair_hold(netlist, library, options.timing, 10,
-                              timer ? &*timer : nullptr);
-    result.times.hold_s = step.seconds();
+    result.hold = repair_hold(netlist, library, options.timing, 10, &timer);
     checkpoint("hold-repair");
-    step.reset();
   }
-  result.timing = timer ? timer->sync(netlist)
-                        : check_timing(netlist, library, options.timing);
-  result.times.timing_s += step.seconds();
-  if (timer) {
-    result.times.sta_full_s = timer->stats().full_seconds;
-    result.times.sta_incremental_s = timer->stats().incremental_seconds;
-  } else {
-    result.times.sta_full_s = result.hold.sta_full_s + result.times.timing_s;
-  }
-  step.reset();
+  result.timing = timer.sync(netlist);
+  lap(result.times.timing_s);
 
   // 4. Physical design: place, then one clock tree per phase.
   const Placement placement = place(netlist, library, options.place);
-  result.times.place_s = step.seconds();
-  step.reset();
+  lap(result.times.place_s);
   const ClockTreeReport clock_tree =
       synthesize_clock_trees(netlist, placement, options.cts);
-  result.times.cts_s = step.seconds();
-  step.reset();
+  lap(result.times.cts_s);
 
   // 5. Gate-level simulation: validation stream + power activity.
   ActivityStats activity;
   result.outputs = simulate(netlist, lanes, options.warmup_cycles,
                             options.vcd, &activity);
-  result.times.sim_s = step.seconds();
+  lap(result.times.sim_s);
 
   // 6. Metrics.
   result.registers = static_cast<int>(netlist.registers().size());

@@ -61,17 +61,16 @@ struct FlowOptions {
   bool retime = true;               // modified retiming of inserted latches
   bool retime_master_slave = true;  // slave retiming for the M-S baseline
   bool p2_common_enable_cg = true;
-  bool use_m1 = true;
+  bool use_m1 = true;  // M1 cells in p2 common-enable gating only
   bool use_m2 = true;
   bool ddcg = true;
   DdcgOptions ddcg_options;
   bool hold_repair = true;
-  /// Keep one IncrementalTimer session alive across the timed stages (hold
-  /// repair passes and the signoff STA) instead of running each as a cold
-  /// full analysis: the netlist mutation journal scopes every re-analysis
-  /// to the edited cone. Reports are byte-identical to fresh check_timing()
-  /// runs (the session's identity contract, gated by tests); StepTimes
-  /// records the full/incremental wall-clock split.
+  /// Hold repair and the signoff STA always share one IncrementalTimer
+  /// session. This switch only decides whether the netlist journals its
+  /// edits: on, each re-analysis after the first re-times only the edited
+  /// cones; off, every one is a full analysis. Reports are byte-identical
+  /// either way (the session's identity contract, gated by tests).
   bool incremental_timing = true;
   PulsedLatchOptions pulsed_latch;
   TwoPhaseOptions two_phase;
@@ -107,9 +106,9 @@ struct FlowOptions {
   /// A3 cumulative borrow budget in ps; negative means the default of one
   /// full phase segment (period / num_phases).
   double borrow_budget_ps = -1.0;
-  /// Test hook invoked at every SEC checkpoint *before* the check runs;
-  /// lets tests inject a fault at a named stage and assert that the
-  /// checkpoint report blames exactly that stage.
+  /// Test hook invoked at every checkpoint *before* the checks run; lets
+  /// tests inject a fault at a named stage and assert that the checkpoint
+  /// report blames exactly that stage. Its time counts toward that stage.
   std::function<void(Netlist&, std::string_view)> stage_hook;
 
   /// The per-stage SEC and lint checkpoints always run inline, on the live
@@ -185,31 +184,29 @@ struct RuleChecks {
 };
 
 /// Per-step wall-clock seconds (the paper reports ILP <= 27 s and < 1% of
-/// total, CTS ~3x and routing +35% for 3-phase designs).
+/// total, CTS ~3x and routing +35% for 3-phase designs). run_flow() fills
+/// every field but ilp_s from one stage clock: each stage's time, the
+/// stage hook's included, runs from the previous stage boundary to the
+/// checkpoint that closes it; SEC and lint time after a checkpoint go to
+/// equiv_s and lint_s.
 struct StepTimes {
   double synthesis_s = 0;
-  double ilp_s = 0;
+  double ilp_s = 0;  // of which ILP: the 3-P phase assignment, in convert_s
   double convert_s = 0;
   double retime_s = 0;
-  double clock_gating_s = 0;
-  double hold_s = 0;    // hold-buffer repair (was mis-filed under timing_s)
-  double timing_s = 0;  // STA signoff only
+  double clock_gating_s = 0;  // p2 common-enable, M2 and DDCG stages
+  double hold_s = 0;          // hold-buffer repair
+  double timing_s = 0;        // STA signoff only
   double place_s = 0;
   double cts_s = 0;
   double sim_s = 0;
   double equiv_s = 0;  // per-stage SEC checkpoints (opt-in)
   double lint_s = 0;   // per-stage rule checks (opt-in)
 
-  /// Split of the STA wall clock hiding inside hold_s and timing_s: time
-  /// spent in full arrival passes vs. incremental dirty-cone patches (zero
-  /// when FlowOptions::incremental_timing is off). Not part of total_s() —
-  /// these seconds are already counted by the stages that spent them.
-  double sta_full_s = 0;
-  double sta_incremental_s = 0;
-
+  /// Sum of the stages; ilp_s is already inside convert_s.
   [[nodiscard]] double total_s() const {
-    return synthesis_s + ilp_s + convert_s + retime_s + clock_gating_s +
-           hold_s + timing_s + place_s + cts_s + sim_s + equiv_s + lint_s;
+    return synthesis_s + convert_s + retime_s + clock_gating_s + hold_s +
+           timing_s + place_s + cts_s + sim_s + equiv_s + lint_s;
   }
 };
 

@@ -67,7 +67,7 @@ std::string options_fingerprint(const FlowOptions& o) {
       " p2cg=", o.p2_common_enable_cg,
       " m1=", o.use_m1, " m2=", o.use_m2,
       " ddcg=", o.ddcg, ",", o.ddcg_options.toggle_threshold,
-      ",", o.ddcg_options.max_fanout, ",", o.ddcg_options.use_m1,
+      ",", o.ddcg_options.max_fanout,
       " hold=", o.hold_repair,
       " pl=", o.pulsed_latch.pulse_width_ps, ",", o.pulsed_latch.group_size,
       " 2p=", o.two_phase.nonoverlap_ps,

@@ -44,7 +44,6 @@ RetimeResult retime_inserted_latches(Netlist& netlist,
                                      const CellLibrary& library,
                                      const RetimeOptions& options) {
   RetimeResult result;
-  if (!options.enabled) return result;
 
   // Movable latches: transparent-high latches on the movable phase. In a
   // master-slave design (phase kClk) these are exactly the slaves.

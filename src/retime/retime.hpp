@@ -40,7 +40,6 @@ struct RetimeOptions {
   /// opening edge — the worst case when upstream stages borrow heavily.
   /// More conservative cuts, used as a timing-closure fallback.
   bool assume_full_borrowing = false;
-  bool enabled = true;
 };
 
 struct RetimeResult {

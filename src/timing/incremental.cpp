@@ -329,7 +329,6 @@ void SmoEngine::build_report(const Netlist& netlist) {
 
 void SmoEngine::run_full(const Netlist& netlist, bool setup_only,
                          bool reuse_structure) {
-  const Stopwatch watch;
   period_ = static_cast<double>(netlist.clocks().period_ps);
   if (!reuse_structure || !structure_ready_) build_structure(netlist);
   build_windows(netlist);
@@ -401,7 +400,6 @@ void SmoEngine::run_full(const Netlist& netlist, bool setup_only,
   primed_ = !setup_only;
   rows_dirty_ = true;
   ++stats_.full_runs;
-  stats_.full_seconds += watch.seconds();
 }
 
 bool SmoEngine::guards_allow_patch(const Netlist& netlist,
@@ -452,10 +450,8 @@ void SmoEngine::run_update(const Netlist& netlist, const TouchedSet& touched) {
     ++stats_.skipped_runs;
     return;
   }
-  const Stopwatch watch;
   if (guards_allow_patch(netlist, touched) && run_cone(netlist, touched)) {
     ++stats_.incremental_runs;
-    stats_.incremental_seconds += watch.seconds();
     return;
   }
   run_full(netlist);

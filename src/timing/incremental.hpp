@@ -112,13 +112,11 @@ class SmoEngine {
   /// True once a full (non-setup-only) run primed the caches.
   [[nodiscard]] bool primed() const { return primed_; }
 
-  /// Cache behavior counters for StepTimes, tests, and bench/macro_flow.
+  /// Cache behavior counters for tests and bench/macro_flow.
   struct Stats {
     int full_runs = 0;         // run_full() calls (incl. fallbacks)
     int incremental_runs = 0;  // dirty-cone patches
     int skipped_runs = 0;      // no-edit passes served from cache
-    double full_seconds = 0;
-    double incremental_seconds = 0;
     long cone_cells = 0;   // comb cells recomputed across all patches
     long cone_rounds = 0;  // fixpoint rounds across all patches
   };

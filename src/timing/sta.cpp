@@ -171,28 +171,13 @@ HoldRepairResult repair_hold(Netlist& netlist, const CellLibrary& library,
       library.delay_ps(CellKind::kBuf,
                        library.params(CellKind::kDff).input_cap_ff +
                            library.default_wire_cap_per_fanout_ff());
-  // Without a session, one local engine still runs cold full passes (the
-  // historical behavior); with one, each pass after the first re-times
-  // only the cones of the buffers just inserted.
-  std::optional<SmoEngine> local;
-  if (timer == nullptr) {
-    local.emplace(library, options, /*track_borrow=*/false);
-  }
-  const double full_before = timer != nullptr ? timer->stats().full_seconds : 0;
-  const double incr_before =
-      timer != nullptr ? timer->stats().incremental_seconds : 0;
+  std::optional<IncrementalTimer> local;
+  if (timer == nullptr) timer = &local.emplace(library, options);
   for (int pass = 0; pass < max_passes; ++pass) {
-    const std::vector<std::pair<CellId, double>>* rows = nullptr;
-    if (timer != nullptr) {
-      timer->sync(netlist);
-      rows = &timer->hold_rows();
-    } else {
-      local->run_full(netlist);
-      rows = &local->hold_rows();
-    }
+    timer->sync(netlist);
     ++result.passes;
     bool any = false;
-    for (const auto& [reg, slack] : *rows) {
+    for (const auto& [reg, slack] : timer->hold_rows()) {
       if (slack >= 0) continue;
       any = true;
       const int needed = static_cast<int>(std::ceil(-slack / buf_delay));
@@ -209,13 +194,6 @@ HoldRepairResult repair_hold(Netlist& netlist, const CellLibrary& library,
       netlist.replace_input(reg, 0, d);
     }
     if (!any) break;
-  }
-  if (timer != nullptr) {
-    result.sta_full_s = timer->stats().full_seconds - full_before;
-    result.sta_incremental_s =
-        timer->stats().incremental_seconds - incr_before;
-  } else {
-    result.sta_full_s = local->stats().full_seconds;
   }
   return result;
 }

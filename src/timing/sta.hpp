@@ -121,19 +121,17 @@ std::vector<BorrowRecord> borrow_profile(const Netlist& netlist,
 struct HoldRepairResult {
   int buffers_inserted = 0;
   int passes = 0;
-  /// Wall-clock split of the STA passes spent inside the repair loop
-  /// (feeds StepTimes::sta_full_s / sta_incremental_s).
-  double sta_full_s = 0;
-  double sta_incremental_s = 0;
 };
 
 /// Inserts delay buffers in front of capture-register D pins until hold
 /// passes (or `max_passes` is exhausted). The paper's FF baselines need this
 /// padding more than the latch designs — one source of their combinational
-/// power gap. With `timer` given (an IncrementalTimer session following
-/// this netlist), each pass re-times only the cones of the buffers the
-/// previous pass inserted instead of running a cold STA; the timer's own
-/// options govern those passes.
+/// power gap. Every pass syncs one IncrementalTimer session: `timer` when
+/// given (its own options then govern the passes), else a local one on
+/// `options`. When the netlist journals its edits, each pass after the
+/// first re-times only the cones of the buffers the previous pass
+/// inserted; otherwise every pass is a full analysis. The inserted buffers
+/// are the same either way.
 HoldRepairResult repair_hold(Netlist& netlist, const CellLibrary& library,
                              const TimingOptions& options = {},
                              int max_passes = 10,

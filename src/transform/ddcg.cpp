@@ -88,17 +88,11 @@ DdcgResult apply_ddcg(Netlist& netlist, const ActivityStats& activity,
     }
     const NetId enable = or_tree(netlist, std::move(diffs), group_name);
     const NetId gclk = netlist.add_net(group_name + "_gclk");
-    if (options.use_m1) {
-      // Unlike the common-enable CG (which samples on p3), the data-driven
-      // enable XORs p1-latch outputs that settle during [0, T/3); the M1
-      // cell therefore borrows p1, freezing the decision exactly when p2
-      // opens.
-      netlist.add_cell(CellKind::kIcgM1, group_name + "_cg",
-                       {enable, p2_root, p1_root}, gclk, Phase::kP2);
-    } else {
-      netlist.add_cell(CellKind::kIcg, group_name + "_cg",
-                       {enable, p2_root}, gclk, Phase::kP2);
-    }
+    // Unlike the common-enable CG (which samples on p3), the data-driven
+    // enable XORs p1-latch outputs that settle during [0, T/3); the M1 cell
+    // therefore borrows p1, freezing the decision exactly when p2 opens.
+    netlist.add_cell(CellKind::kIcgM1, group_name + "_cg",
+                     {enable, p2_root, p1_root}, gclk, Phase::kP2);
     for (std::size_t i = start; i < end; ++i) {
       netlist.replace_input(candidates[i].latch, 1, gclk);
       ++result.latches_gated;

@@ -3,9 +3,10 @@
 //
 // For each candidate latch an XOR compares D and Q; the per-latch comparison
 // signals of a group are OR-ed into one enable that drives a shared p2 CG
-// cell (M1 style, borrowing the p1 phase so that the decision freezes when
-// p2 opens). The clock only pulses when at least one latch in the
-// group would change. Grouping follows the paper: candidates are latches
+// cell, always M1 style: it borrows the p1 phase so that the decision
+// freezes when p2 opens (FlowOptions::use_m1 governs only the p2
+// common-enable gating). The clock only pulses when at least one latch in
+// the group would change. Grouping follows the paper: candidates are latches
 // whose data toggles in less than `toggle_threshold` of cycles; they are
 // sorted by toggle rate (grouping correlated low-activity latches) and split
 // into groups of at most `max_fanout` (32 in the paper).
@@ -19,7 +20,6 @@ namespace tp {
 struct DdcgOptions {
   double toggle_threshold = 0.01;  // toggles per cycle
   int max_fanout = 32;
-  bool use_m1 = true;
 };
 
 struct DdcgResult {

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <map>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -14,7 +16,9 @@
 
 #include "src/circuits/workload.hpp"
 #include "src/flow/matrix.hpp"
+#include "src/timing/incremental.hpp"
 #include "src/util/executor.hpp"
+#include "src/util/log.hpp"
 
 namespace tp {
 namespace {
@@ -559,6 +563,76 @@ TEST(StepTimes, HoldRepairAccountedSeparately) {
   const FlowResult without_repair =
       run_flow(bench, DesignStyle::kFlipFlop, stim, options);
   EXPECT_EQ(without_repair.times.hold_s, 0.0);
+}
+
+// Checkpoints split the flow's wall clock into stages: each one closes
+// its stage's StepTimes field, the stage hook's time included. A hook that
+// sleeps at every stage therefore shows up in every field it closed, and
+// the stages never add up to more than the wall clock.
+TEST(StepTimes, CheckpointsSplitTheFlowIntoStages) {
+  constexpr double kSleepS = 0.02;
+  const circuits::Benchmark bench = circuits::make_benchmark("s1196");
+  const Stimulus stim = circuits::make_stimulus(
+      bench, circuits::Workload::kPaperDefault, 32, 7);
+  std::vector<std::string> stages;
+  FlowOptions options;
+  options.stage_hook = [&](Netlist&, std::string_view stage) {
+    stages.emplace_back(stage);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  };
+  const Stopwatch wall;
+  const FlowResult r =
+      run_flow(bench, DesignStyle::kThreePhase, stim, options);
+  const double wall_s = wall.seconds();
+
+  const flow::StepTimes& t = r.times;
+  const std::map<std::string, std::string> field_of = {
+      {"synthesis", "synthesis_s"}, {"convert", "convert_s"},
+      {"retime", "retime_s"},       {"p2-gating", "clock_gating_s"},
+      {"m2", "clock_gating_s"},     {"ddcg", "clock_gating_s"},
+      {"hold-repair", "hold_s"}};
+  const std::map<std::string, double> seconds = {
+      {"synthesis_s", t.synthesis_s}, {"convert_s", t.convert_s},
+      {"retime_s", t.retime_s},       {"clock_gating_s", t.clock_gating_s},
+      {"hold_s", t.hold_s}};
+  std::map<std::string, int> closed;  // field -> checkpoints closing it
+  for (const std::string& stage : stages) {
+    ASSERT_TRUE(field_of.contains(stage)) << "unexpected stage " << stage;
+    ++closed[field_of.at(stage)];
+  }
+  EXPECT_EQ(stages.size(), field_of.size());
+  for (const auto& [field, count] : closed) {
+    EXPECT_GE(seconds.at(field), kSleepS * count) << field;
+  }
+  EXPECT_GE(t.total_s(), kSleepS * static_cast<double>(stages.size()));
+  EXPECT_LE(t.total_s(), wall_s);
+}
+
+// FlowOptions::incremental_timing only turns the netlist journal on: the
+// flow's one IncrementalTimer session then patches the edited cones
+// instead of re-running full analyses, and no result may change.
+TEST(RunFlow, IncrementalTimingChangesNoResult) {
+  for (const char* name : {"s1196", "s5378", "DES3"}) {
+    const circuits::Benchmark bench = circuits::make_benchmark(name);
+    const Stimulus stim = circuits::make_stimulus(
+        bench, circuits::Workload::kPaperDefault, 32, 7);
+    for (const DesignStyle style :
+         {DesignStyle::kMasterSlave, DesignStyle::kThreePhase,
+          DesignStyle::kPulsedLatch}) {
+      SCOPED_TRACE(std::string(name) + " " +
+                   std::string(flow::style_name(style)));
+      FlowOptions options;
+      const FlowResult on = run_flow(bench, style, stim, options);
+      options.incremental_timing = false;
+      const FlowResult off = run_flow(bench, style, stim, options);
+      EXPECT_EQ(timing_identity(on.timing), timing_identity(off.timing));
+      EXPECT_EQ(on.hold.buffers_inserted, off.hold.buffers_inserted);
+      EXPECT_EQ(on.hold.passes, off.hold.passes);
+      const flow::StreamDiff diff = flow::equivalent(on, off);
+      EXPECT_TRUE(diff.equal()) << diff.to_string();
+      EXPECT_EQ(on.power.total_mw(), off.power.total_mw());
+    }
+  }
 }
 
 TEST(FlowOptions, NamedConstructorPresets) {

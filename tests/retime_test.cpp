@@ -188,14 +188,5 @@ TEST(Retime, MergesReconvergentLatches) {
   EXPECT_EQ(rr.latches_after, 1);  // merged at the AND output
 }
 
-TEST(Retime, DisabledIsNoOp) {
-  ThreePhaseResult r = converted(3);
-  const auto before = r.netlist.registers().size();
-  const RetimeResult rr =
-      retime_inserted_latches(r.netlist, lib(), {.enabled = false});
-  EXPECT_EQ(rr.latches_before, 0);
-  EXPECT_EQ(r.netlist.registers().size(), before);
-}
-
 }  // namespace
 }  // namespace tp
