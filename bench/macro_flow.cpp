@@ -513,6 +513,7 @@ int main(int argc, char** argv) {
   w.key("place_s").value(flow_rec.times.place_s);
   w.key("cts_s").value(flow_rec.times.cts_s);
   w.key("sim_s").value(flow_rec.times.sim_s);
+  w.key("power_s").value(flow_rec.times.power_s);
   w.key("stage_coverage").value(stage_coverage(flow_rec));
   w.end_object();
   w.key("failures").value(failures);

@@ -77,7 +77,7 @@ std::string compare(const MatrixResult& serial, const MatrixResult& parallel) {
 
 struct StageSums {
   double synthesis = 0, ilp = 0, convert = 0, retime = 0, cg = 0, hold = 0;
-  double timing = 0, place = 0, cts = 0, sim = 0, lint = 0;
+  double timing = 0, place = 0, cts = 0, sim = 0, power = 0, lint = 0;
 
   void add(const StepTimes& t) {
     synthesis += t.synthesis_s;
@@ -90,6 +90,7 @@ struct StageSums {
     place += t.place_s;
     cts += t.cts_s;
     sim += t.sim_s;
+    power += t.power_s;
     lint += t.lint_s;
   }
 };
@@ -210,6 +211,7 @@ int main(int argc, char** argv) {
   w.key("place").value(stages.place);
   w.key("cts").value(stages.cts);
   w.key("sim").value(stages.sim);
+  w.key("power").value(stages.power);
   w.key("lint").value(stages.lint);
   w.end_object();
   w.end_object();

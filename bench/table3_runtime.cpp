@@ -39,9 +39,9 @@ int main(int argc, char** argv) {
   const std::size_t num_styles = plan.styles.size();
 
   std::printf("Run-time decomposition (seconds)\n\n");
-  std::printf("%-8s %-4s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s\n",
+  std::printf("%-8s %-4s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s %8s\n",
               "design", "style", "synth", "ilp", "convert", "retime", "cg",
-              "hold", "place", "cts", "sta", "sim", "total");
+              "hold", "place", "cts", "sta", "sim", "power", "total");
   double total[3] = {0, 0, 0};
   double ilp_total = 0, cts_total[3] = {0, 0, 0};
   for (std::size_t b = 0; b < plan.benchmarks.size(); ++b) {
@@ -49,12 +49,12 @@ int main(int argc, char** argv) {
       const MatrixResult& run = results[b * num_styles + i];
       const StepTimes& t = run.result.times;
       std::printf("%-8s %-4s %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f %8.3f "
-                  "%8.3f %8.3f %8.3f %8.3f\n",
+                  "%8.3f %8.3f %8.3f %8.3f %8.3f\n",
                   run.task.benchmark.c_str(),
                   std::string(style_name(run.task.style)).c_str(),
                   t.synthesis_s, t.ilp_s, t.convert_s, t.retime_s,
                   t.clock_gating_s, t.hold_s, t.place_s, t.cts_s, t.timing_s,
-                  t.sim_s, t.total_s());
+                  t.sim_s, t.power_s, t.total_s());
       std::fflush(stdout);
       total[i] += t.total_s();
       cts_total[i] += t.cts_s;

@@ -201,11 +201,11 @@ int main(int argc, char** argv) {
     const StepTimes& t = r.times;
     std::printf("  stage times      synthesis %.3f, convert %.3f (ILP %.3f), "
                 "retime %.3f, gating %.3f, hold %.3f, sta %.3f, place "
-                "%.3f, cts %.3f, sim %.3f, sec %.3f, lint %.3f, total "
-                "%.3f s\n",
+                "%.3f, cts %.3f, sim %.3f, power %.3f, sec %.3f, lint "
+                "%.3f, total %.3f s\n",
                 t.synthesis_s, t.convert_s, t.ilp_s, t.retime_s,
                 t.clock_gating_s, t.hold_s, t.timing_s, t.place_s, t.cts_s,
-                t.sim_s, t.equiv_s, t.lint_s, t.total_s());
+                t.sim_s, t.power_s, t.equiv_s, t.lint_s, t.total_s());
     if (style == DesignStyle::kTwoPhase) {
       std::printf("  duplicated ICGs  %d (clkbar side)\n",
                   r.duplicated_icgs);

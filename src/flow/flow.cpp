@@ -193,6 +193,7 @@ FlowResult run_flow(const circuits::Benchmark& benchmark, DesignStyle style,
   result.power =
       compute_power(netlist, library, activity, &placement, &clock_tree);
   result.netlist = std::move(netlist);
+  lap(result.times.power_s);
   return result;
 }
 

@@ -200,13 +200,14 @@ struct StepTimes {
   double place_s = 0;
   double cts_s = 0;
   double sim_s = 0;
+  double power_s = 0;  // area and power metrics
   double equiv_s = 0;  // per-stage SEC checkpoints (opt-in)
   double lint_s = 0;   // per-stage rule checks (opt-in)
 
   /// Sum of the stages; ilp_s is already inside convert_s.
   [[nodiscard]] double total_s() const {
     return synthesis_s + convert_s + retime_s + clock_gating_s + hold_s +
-           timing_s + place_s + cts_s + sim_s + equiv_s + lint_s;
+           timing_s + place_s + cts_s + sim_s + power_s + equiv_s + lint_s;
   }
 };
 

@@ -305,23 +305,42 @@ CellId insert_latch_after(Netlist& netlist, NetId q, NetId gate_root,
 }
 
 void Netlist::validate() const {
+  // A check's message is built only when the check fails.
+  const auto check = [](bool ok, const auto&... parts) {
+    if (!ok) throw Error(cat("validate: ", parts...));
+  };
+  // listed[pin_base[c] + p]: pin p of cell c is in the fanout list of the
+  // net on it. One pass over the live nets marks them; a ref that names no
+  // such pin is left for the net loop below to report.
+  std::vector<std::size_t> pin_base(cells_.size() + 1, 0);
+  for (std::size_t i = 0; i < cells_.size(); ++i) {
+    pin_base[i + 1] = pin_base[i] + cells_[i].ins.size();
+  }
+  std::vector<std::uint8_t> listed(pin_base.back(), 0);
+  for (std::uint32_t i = 0; i < nets_.size(); ++i) {
+    if (!nets_[i].alive) continue;
+    for (const PinRef& ref : nets_[i].fanouts) {
+      if (ref.cell.value() >= cells_.size()) continue;
+      const Cell& c = cells_[ref.cell.value()];
+      if (ref.pin < c.ins.size() && c.ins[ref.pin] == NetId{i}) {
+        listed[pin_base[ref.cell.value()] + ref.pin] = 1;
+      }
+    }
+  }
   for (std::uint32_t i = 0; i < cells_.size(); ++i) {
     const Cell& c = cells_[i];
     if (!c.alive) continue;
-    require(static_cast<int>(c.ins.size()) == num_inputs(c.kind),
-            cat("validate: cell ", c.name, " pin count"));
+    check(static_cast<int>(c.ins.size()) == num_inputs(c.kind), "cell ",
+          c.name, " pin count");
     for (std::uint32_t pin = 0; pin < c.ins.size(); ++pin) {
       const Net& net = nets_[c.ins[pin].value()];
-      require(net.alive, cat("validate: cell ", c.name, " uses dead net"));
-      const bool listed =
-          std::find(net.fanouts.begin(), net.fanouts.end(),
-                    PinRef{CellId{i}, pin}) != net.fanouts.end();
-      require(listed, cat("validate: cell ", c.name, " pin ", pin,
-                          " not in fanout list of net ", net.name));
+      check(net.alive, "cell ", c.name, " uses dead net");
+      check(listed[pin_base[i] + pin] != 0, "cell ", c.name, " pin ", pin,
+            " not in fanout list of net ", net.name);
     }
     if (c.out.valid()) {
-      require(nets_[c.out.value()].driver == CellId{i},
-              cat("validate: cell ", c.name, " output driver mismatch"));
+      check(nets_[c.out.value()].driver == CellId{i}, "cell ", c.name,
+            " output driver mismatch");
     }
   }
   for (std::uint32_t i = 0; i < nets_.size(); ++i) {
@@ -329,14 +348,13 @@ void Netlist::validate() const {
     if (!net.alive) continue;
     if (net.driver.valid()) {
       const Cell& d = cells_[net.driver.value()];
-      require(d.alive && d.out == NetId{i},
-              cat("validate: net ", net.name, " driver inconsistent"));
+      check(d.alive && d.out == NetId{i}, "net ", net.name,
+            " driver inconsistent");
     }
     for (const PinRef& ref : net.fanouts) {
       const Cell& c = cells_[ref.cell.value()];
-      require(c.alive && ref.pin < c.ins.size() &&
-                  c.ins[ref.pin] == NetId{i},
-              cat("validate: net ", net.name, " fanout inconsistent"));
+      check(c.alive && ref.pin < c.ins.size() && c.ins[ref.pin] == NetId{i},
+            "net ", net.name, " fanout inconsistent");
     }
   }
 }

@@ -10,49 +10,9 @@
 namespace tp {
 namespace {
 
-/// A set of vertex indices with ascending find-next: one bit per vertex.
-/// FM regions stay below the placer's fm_threshold (a few dozen words), so
-/// the lowest member at or above an index is a short scan of words.
-class IndexSet {
- public:
-  void reset(std::size_t n) {
-    words_.assign((n + 63) / 64, 0);
-    size_ = 0;
-  }
-
-  void insert(int v) {
-    words_[static_cast<std::size_t>(v) / 64] |= std::uint64_t{1} << (v % 64);
-    ++size_;
-  }
-
-  void erase(int v) {
-    words_[static_cast<std::size_t>(v) / 64] &=
-        ~(std::uint64_t{1} << (v % 64));
-    --size_;
-  }
-
-  [[nodiscard]] bool empty() const { return size_ == 0; }
-
-  /// Lowest member >= `from`, or -1.
-  [[nodiscard]] int next(int from) const {
-    auto w = static_cast<std::size_t>(from) / 64;
-    if (w >= words_.size()) return -1;
-    std::uint64_t bits = words_[w] & (~std::uint64_t{0} << (from % 64));
-    while (bits == 0) {
-      if (++w == words_.size()) return -1;
-      bits = words_[w];
-    }
-    return static_cast<int>(w * 64) + std::countr_zero(bits);
-  }
-
- private:
-  std::vector<std::uint64_t> words_;
-  int size_ = 0;
-};
-
 /// Classic FM machinery for one fm_bipartition call: pin lists built once,
 /// then per pass per-side gain buckets, tentative moves with locking, and
-/// best-prefix rollback.
+/// best-prefix rollback. All buffers are the workspace's.
 ///
 /// Selection contract (what keeps placements bit-identical to a full
 /// vertex scan): each step moves the unlocked, balance-legal vertex of
@@ -61,92 +21,104 @@ class IndexSet {
 /// two sides' candidates are compared by (gain, -index).
 class Fm {
  public:
-  Fm(const std::vector<std::int64_t>& weights,
-     const std::vector<std::vector<int>>& hyperedges,
-     double balance_tolerance)
-      : weights_(weights),
-        hyperedges_(hyperedges),
-        n_(weights.size()),
-        pin_begin_(n_ + 1, 0),
-        edge_count_(hyperedges.size()),
-        gain_(n_),
-        locked_(n_) {
-    for (const auto& edge : hyperedges_) {
-      for (const int v : edge) ++pin_begin_[static_cast<std::size_t>(v) + 1];
-    }
-    std::partial_sum(pin_begin_.begin(), pin_begin_.end(), pin_begin_.begin());
-    pins_.resize(pin_begin_.back());
-    std::vector<std::size_t> fill(pin_begin_.begin(), pin_begin_.end() - 1);
-    for (int e = 0; e < static_cast<int>(hyperedges_.size()); ++e) {
-      for (const int v : hyperedges_[static_cast<std::size_t>(e)]) {
-        pins_[fill[static_cast<std::size_t>(v)]++] = e;
+  Fm(const Hypergraph& graph, double balance_tolerance, FmWorkspace& ws,
+     FmStats& stats)
+      : graph_(graph), ws_(ws), stats_(stats), n_(graph.num_vertices()) {
+    // Vertex -> edge CSR: count at v + 2, prefix-sum, then filling through
+    // vertex_begin[v + 1] leaves vertex_begin[v] at v's first pin.
+    auto& begin = ws_.vertex_begin;
+    begin.assign(n_ + 2, 0);
+    for (const int v : graph_.pins) ++begin[static_cast<std::size_t>(v) + 2];
+    std::partial_sum(begin.begin(), begin.end(), begin.begin());
+    ws_.vertex_edges.resize(graph_.pins.size());
+    for (std::size_t e = 0; e < graph_.num_edges(); ++e) {
+      for (const int v : graph_.edge(e)) {
+        ws_.vertex_edges[static_cast<std::size_t>(
+            begin[static_cast<std::size_t>(v) + 1]++)] = static_cast<int>(e);
       }
     }
     // An unlocked vertex's gain counts +1/-1 per pin, so |gain| <= degree.
     for (std::size_t v = 0; v < n_; ++v) {
-      max_gain_ = std::max(
-          max_gain_, static_cast<int>(pin_begin_[v + 1] - pin_begin_[v]));
+      max_gain_ = std::max(max_gain_, begin[v + 1] - begin[v]);
     }
-    buckets_.resize(2 * (2 * static_cast<std::size_t>(max_gain_) + 1));
-    const std::int64_t total =
-        std::accumulate(weights.begin(), weights.end(), std::int64_t{0});
-    lo_ = static_cast<std::int64_t>(
-        (0.5 - balance_tolerance) * static_cast<double>(total));
-    hi_ = static_cast<std::int64_t>(
-        (0.5 + balance_tolerance) * static_cast<double>(total));
+    side_buckets_ = 2 * static_cast<std::size_t>(max_gain_) + 1;
+    stride_ = (n_ + 63) / 64;
+    const std::int64_t total = std::accumulate(
+        graph_.weights.begin(), graph_.weights.end(), std::int64_t{0});
+    lo_ = static_cast<std::int64_t>((0.5 - balance_tolerance) *
+                                    static_cast<double>(total));
+    hi_ = static_cast<std::int64_t>((0.5 + balance_tolerance) *
+                                    static_cast<double>(total));
     const auto [min_w, max_w] =
-        std::minmax_element(weights.begin(), weights.end());
+        std::minmax_element(graph_.weights.begin(), graph_.weights.end());
     min_weight_ = *min_w;
     max_weight_ = *max_w;
   }
 
-  /// One pass over `side`; returns the cut improvement (>= 0 kept, 0 means
-  /// converged).
+  /// Recounts every edge's pins per side and every vertex's gain under
+  /// `side`; returns the cut.
+  std::int64_t recount(const std::vector<std::uint8_t>& side) {
+    ws_.edges.assign(graph_.num_edges(), {});
+    ws_.gain.assign(n_, 0);
+    std::int64_t cut = 0;
+    for (std::size_t e = 0; e < graph_.num_edges(); ++e) {
+      auto& c = ws_.edges[e].count;
+      for (const int v : graph_.edge(e)) {
+        ++c[side[static_cast<std::size_t>(v)]];
+      }
+      cut += c[0] > 0 && c[1] > 0;
+      // An edge adds +1 to a vertex's gain when the vertex is its only pin
+      // on its side (moving uncuts it), -1 when the other side is empty
+      // (moving cuts it), and nothing with >= 2 pins on each side.
+      if (c[0] >= 2 && c[1] >= 2) continue;
+      for (const int v : graph_.edge(e)) {
+        const int from = side[static_cast<std::size_t>(v)];
+        auto& gain = ws_.gain[static_cast<std::size_t>(v)];
+        gain += (c[from] == 1) - (c[1 - from] == 0);
+      }
+    }
+    return cut;
+  }
+
+  /// One pass over `side`, which starts with cut `start_cut()`; returns the
+  /// cut improvement (>= 0 kept, 0 means converged).
   std::int64_t run(std::vector<std::uint8_t>& side) {
     side_ = &side;
+    ++stats_.passes;
     std::int64_t w0 = 0;
     for (std::size_t v = 0; v < n_; ++v) {
-      if (!side[v]) w0 += weights_[v];
+      if (!side[v]) w0 += graph_.weights[v];
     }
-    std::fill(edge_count_.begin(), edge_count_.end(), std::array<int, 2>{});
-    for (std::size_t e = 0; e < hyperedges_.size(); ++e) {
-      for (const int v : hyperedges_[e]) {
-        ++edge_count_[e][side[static_cast<std::size_t>(v)]];
-      }
-    }
-    // Initial gains: an edge contributes +1 when the vertex is its only pin
-    // on its side (moving uncuts it), -1 when the other side is empty
-    // (moving cuts it).
-    for (auto& bucket : buckets_) bucket.reset(n_);
+    start_cut_ = recount(side);
+    ws_.bucket_words.assign(2 * side_buckets_ * stride_, 0);
+    ws_.bucket_size.assign(2 * side_buckets_, 0);
     top_ = {0, 0};
-    for (std::size_t v = 0; v < n_; ++v) {
-      const int from = side[v];
-      int gain = 0;
-      for (std::size_t p = pin_begin_[v]; p < pin_begin_[v + 1]; ++p) {
-        const auto& c = edge_count_[static_cast<std::size_t>(pins_[p])];
-        if (c[from] == 1) ++gain;
-        if (c[1 - from] == 0) --gain;
-      }
-      gain_[v] = gain;
-      insert(static_cast<int>(v));
-    }
-    std::fill(locked_.begin(), locked_.end(), 0);
-    moves_.clear();
-    prefix_gain_.clear();
+    for (std::size_t v = 0; v < n_; ++v) insert(static_cast<int>(v));
+    ws_.locked.assign(n_, 0);
+    ws_.moves.clear();
     std::int64_t running = 0;
+    std::int64_t best_running = 0;
+    std::size_t best_prefix = 0;
+    std::int64_t dead = 0;  // cut edges locked on both sides
 
-    for (int best = pick(w0); best >= 0; best = pick(w0)) {
+    // Each move's gain is the drop in cut and dead edges stay cut, so once
+    // the best prefix reaches start_cut_ - dead no later one is better.
+    while (best_running < start_cut_ - dead) {
+      const int best = pick(w0);
+      if (best < 0) break;
       // Apply the tentative move and update neighbor gains.
       const auto bv = static_cast<std::size_t>(best);
       const int from = side[bv];
       const int to = 1 - from;
-      const int best_gain = gain_[bv];
+      const int best_gain = ws_.gain[bv];
       erase(best);
-      locked_[bv] = 1;
-      w0 += from ? weights_[bv] : -weights_[bv];
-      for (std::size_t p = pin_begin_[bv]; p < pin_begin_[bv + 1]; ++p) {
-        const auto e = static_cast<std::size_t>(pins_[p]);
-        auto& c = edge_count_[e];
+      ws_.locked[bv] = 1;
+      w0 += from ? graph_.weights[bv] : -graph_.weights[bv];
+      for (int p = ws_.vertex_begin[bv]; p < ws_.vertex_begin[bv + 1]; ++p) {
+        const auto e = static_cast<std::size_t>(
+            ws_.vertex_edges[static_cast<std::size_t>(p)]);
+        auto& [c, locked] = ws_.edges[e];
+        if (locked[0] > 0 && locked[1] > 0) continue;  // dead: all no-ops
         // Gain updates follow the standard FM case analysis.
         if (c[to] == 0) {
           bump_all(e, -1, +1);
@@ -160,55 +132,77 @@ class Fm {
         } else if (c[from] == 1) {
           bump_all(e, from, +1);
         }
+        if (++locked[to] == 1 && locked[from] > 0) ++dead;
       }
       side[bv] = static_cast<std::uint8_t>(to);
       running += best_gain;
-      moves_.push_back(best);
-      prefix_gain_.push_back(running);
+      ws_.moves.push_back(best);
+      if (running > best_running) {
+        best_running = running;
+        best_prefix = ws_.moves.size();
+      }
+    }
+    stats_.moves += static_cast<std::int64_t>(ws_.moves.size());
+    if (ws_.moves.size() < n_ && best_running >= start_cut_ - dead) {
+      ++stats_.early_exits;
     }
 
     // Keep the best prefix, undo the rest.
-    std::int64_t best_running = 0;
-    std::size_t best_prefix = 0;
-    for (std::size_t i = 0; i < prefix_gain_.size(); ++i) {
-      if (prefix_gain_[i] > best_running) {
-        best_running = prefix_gain_[i];
-        best_prefix = i + 1;
-      }
-    }
-    for (std::size_t i = moves_.size(); i > best_prefix; --i) {
-      side[static_cast<std::size_t>(moves_[i - 1])] ^= 1;
+    for (std::size_t i = ws_.moves.size(); i > best_prefix; --i) {
+      side[static_cast<std::size_t>(ws_.moves[i - 1])] ^= 1;
     }
     return best_running;
   }
 
+  [[nodiscard]] std::int64_t start_cut() const { return start_cut_; }
+
  private:
   [[nodiscard]] std::size_t bucket_of(int v) const {
     const auto sv = static_cast<std::size_t>(v);
-    return static_cast<std::size_t>((*side_)[sv]) *
-               (2 * static_cast<std::size_t>(max_gain_) + 1) +
-           static_cast<std::size_t>(gain_[sv] + max_gain_);
+    return static_cast<std::size_t>((*side_)[sv]) * side_buckets_ +
+           static_cast<std::size_t>(ws_.gain[sv] + max_gain_);
   }
 
   void insert(int v) {
-    buckets_[bucket_of(v)].insert(v);
+    const std::size_t b = bucket_of(v);
+    ws_.bucket_words[b * stride_ + static_cast<std::size_t>(v) / 64] |=
+        std::uint64_t{1} << (v % 64);
+    ++ws_.bucket_size[b];
     const int s = (*side_)[static_cast<std::size_t>(v)];
     top_[s] =
-        std::max(top_[s], gain_[static_cast<std::size_t>(v)] + max_gain_);
+        std::max(top_[s], ws_.gain[static_cast<std::size_t>(v)] + max_gain_);
   }
 
-  void erase(int v) { buckets_[bucket_of(v)].erase(v); }
+  void erase(int v) {
+    const std::size_t b = bucket_of(v);
+    ws_.bucket_words[b * stride_ + static_cast<std::size_t>(v) / 64] &=
+        ~(std::uint64_t{1} << (v % 64));
+    --ws_.bucket_size[b];
+  }
+
+  /// Lowest member of bucket `b` at or above `from`, or -1.
+  [[nodiscard]] int next(std::size_t b, int from) const {
+    const std::uint64_t* words = ws_.bucket_words.data() + b * stride_;
+    auto w = static_cast<std::size_t>(from) / 64;
+    if (w >= stride_) return -1;
+    std::uint64_t bits = words[w] & (~std::uint64_t{0} << (from % 64));
+    while (bits == 0) {
+      if (++w == stride_) return -1;
+      bits = words[w];
+    }
+    return static_cast<int>(w * 64) + std::countr_zero(bits);
+  }
 
   /// Adds `delta` to the gain of every unlocked pin of edge `e` (only those
   /// on side `only_side` unless it is -1), re-bucketing each.
   void bump_all(std::size_t e, int only_side, int delta) {
-    for (const int u : hyperedges_[e]) {
+    for (const int u : graph_.edge(e)) {
       const auto su = static_cast<std::size_t>(u);
-      if (locked_[su] || (only_side >= 0 && (*side_)[su] != only_side)) {
+      if (ws_.locked[su] || (only_side >= 0 && (*side_)[su] != only_side)) {
         continue;
       }
       erase(u);
-      gain_[su] += delta;
+      ws_.gain[su] += delta;
       insert(u);
     }
   }
@@ -223,22 +217,21 @@ class Fm {
       const std::int64_t w_min = s ? lo_ - w0 : w0 - hi_;
       const std::int64_t w_max = s ? hi_ - w0 : w0 - lo_;
       if (w_max < min_weight_ || w_min > max_weight_) continue;
-      const std::size_t base = static_cast<std::size_t>(s) *
-                               (2 * static_cast<std::size_t>(max_gain_) + 1);
+      const std::size_t base = static_cast<std::size_t>(s) * side_buckets_;
       for (int g = top_[s]; g >= 0; --g) {
         const int gain = g - max_gain_;
         if (best >= 0 && gain < best_gain) break;
         const std::size_t b = base + static_cast<std::size_t>(g);
-        if (buckets_[b].empty()) {
+        if (ws_.bucket_size[b] == 0) {
           if (g == top_[s] && g > 0) --top_[s];
           continue;
         }
-        int v = buckets_[b].next(0);
         // On a gain tie with the other side only lower indices can win.
         const int limit =
             best >= 0 && gain == best_gain ? best : static_cast<int>(n_);
-        for (; v >= 0 && v < limit; v = buckets_[b].next(v + 1)) {
-          const std::int64_t w = weights_[static_cast<std::size_t>(v)];
+        int v = next(b, 0);
+        for (; v >= 0 && v < limit; v = next(b, v + 1)) {
+          const std::int64_t w = graph_.weights[static_cast<std::size_t>(v)];
           if (w >= w_min && w <= w_max) break;
         }
         if (v >= 0 && v < limit) {
@@ -251,74 +244,58 @@ class Fm {
     return best;
   }
 
-  const std::vector<std::int64_t>& weights_;
-  const std::vector<std::vector<int>>& hyperedges_;
+  const Hypergraph& graph_;
+  FmWorkspace& ws_;
+  FmStats& stats_;
   std::size_t n_;
-  std::vector<std::size_t> pin_begin_;  // CSR: pins_[pin_begin_[v]..]
-  std::vector<int> pins_;               // incident edges per vertex
   int max_gain_ = 0;
+  std::size_t side_buckets_ = 0;  // buckets per side: 2 * max_gain_ + 1
+  std::size_t stride_ = 0;        // bitset words per bucket
   std::int64_t lo_ = 0, hi_ = 0;
   std::int64_t min_weight_ = 0, max_weight_ = 0;
 
-  // Per-pass state, reused across passes.
+  // Per-pass state.
   std::vector<std::uint8_t>* side_ = nullptr;
-  std::vector<std::array<int, 2>> edge_count_;
-  std::vector<int> gain_;
-  std::vector<std::uint8_t> locked_;
-  /// Bucket (side, gain) at side * (2 * max_gain_ + 1) + gain + max_gain_.
-  std::vector<IndexSet> buckets_;
+  std::int64_t start_cut_ = 0;
   std::array<int, 2> top_{};  // per side: highest possibly non-empty offset
-  std::vector<int> moves_;
-  std::vector<std::int64_t> prefix_gain_;
 };
-
-std::int64_t cut_size(const std::vector<std::vector<int>>& hyperedges,
-                      const std::vector<std::uint8_t>& side) {
-  std::int64_t cut = 0;
-  for (const auto& edge : hyperedges) {
-    bool s0 = false, s1 = false;
-    for (const int v : edge) {
-      (side[static_cast<std::size_t>(v)] ? s1 : s0) = true;
-    }
-    cut += (s0 && s1);
-  }
-  return cut;
-}
 
 }  // namespace
 
-FmResult fm_bipartition(const std::vector<std::int64_t>& weights,
-                        const std::vector<std::vector<int>>& hyperedges,
-                        const FmOptions& options) {
+FmResult fm_bipartition(const Hypergraph& graph, const FmOptions& options,
+                        FmWorkspace& workspace) {
   FmResult result;
-  const std::size_t n = weights.size();
+  const std::size_t n = graph.num_vertices();
   result.side.assign(n, 0);
-  if (n <= 1) {
-    result.cut = 0;
-    return result;
-  }
+  if (n <= 1) return result;
   // Random area-balanced initial split.
   Rng rng(options.seed);
-  std::vector<int> order(n);
+  std::vector<int>& order = workspace.order;
+  order.resize(n);
   std::iota(order.begin(), order.end(), 0);
   rng.shuffle(order);
-  const std::int64_t total =
-      std::accumulate(weights.begin(), weights.end(), std::int64_t{0});
+  const std::int64_t total = std::accumulate(
+      graph.weights.begin(), graph.weights.end(), std::int64_t{0});
   std::int64_t w0 = 0;
   for (const int v : order) {
     const auto sv = static_cast<std::size_t>(v);
     if (w0 < total / 2) {
-      result.side[sv] = 0;
-      w0 += weights[sv];
+      w0 += graph.weights[sv];
     } else {
       result.side[sv] = 1;
     }
   }
-  Fm fm(weights, hyperedges, options.balance_tolerance);
-  for (int pass = 0; pass < options.max_passes; ++pass) {
-    if (fm.run(result.side) <= 0) break;
+  Fm fm(graph, options.balance_tolerance, workspace, result.stats);
+  if (options.max_passes <= 0) {
+    result.cut = fm.recount(result.side);
+    return result;
   }
-  result.cut = cut_size(hyperedges, result.side);
+  // The cut after a pass is its starting cut minus the gain it kept.
+  for (int pass = 0; pass < options.max_passes; ++pass) {
+    const std::int64_t gain = fm.run(result.side);
+    result.cut = fm.start_cut() - gain;
+    if (gain <= 0) break;
+  }
   return result;
 }
 

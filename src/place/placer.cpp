@@ -1,9 +1,7 @@
 #include "src/place/placer.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
-#include <functional>
 #include <numeric>
 
 #include "src/place/fm.hpp"
@@ -26,47 +24,54 @@ std::uint64_t region_seed(std::uint64_t seed, std::uint64_t path) {
   return z ^ (z >> 31);
 }
 
-/// Region-sized map from cell id to the cell's index in its region
-/// (open addressing, linear probing): the split helpers' only per-region
-/// scratch, so a region costs O(its pins), not O(netlist).
-class LocalIndex {
- public:
-  explicit LocalIndex(const std::vector<CellId>& cells)
-      : mask_(std::bit_ceil(2 * cells.size()) - 1),
-        slots_(mask_ + 1, {kEmpty, 0}) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      std::size_t s = probe_start(cells[i].value());
-      while (slots_[s].first != kEmpty) s = (s + 1) & mask_;
-      slots_[s] = {cells[i].value(), static_cast<int>(i)};
+/// A placement's scratch, allocated once and reused by every region: a
+/// cell -> region-index map and a net -> edge-slot map (both -1 outside
+/// the region being split, reset after it, so a region costs O(its pins),
+/// not O(netlist)), per-slot state, and FM's hypergraph and workspace.
+struct PlaceScratch {
+  explicit PlaceScratch(const Netlist& netlist)
+      : cell_net_begin(netlist.num_cells() + 1, 0),
+        region_index(netlist.num_cells(), -1),
+        net_slot(netlist.num_nets(), -1) {
+    for (std::uint32_t c = 0; c < netlist.num_cells(); ++c) {
+      const Cell& cell = netlist.cell(CellId{c});
+      const auto add = [&](NetId net) {
+        if (net.valid() && netlist.net(net).alive) {
+          cell_nets.push_back(static_cast<int>(net.value()));
+        }
+      };
+      for (const NetId in : cell.ins) add(in);
+      add(cell.out);
+      cell_net_begin[c + 1] = static_cast<int>(cell_nets.size());
     }
   }
 
-  /// Index of `cell` in the region, or -1 when it lies outside.
-  [[nodiscard]] int find(CellId cell) const {
-    if (!cell.valid()) return -1;
-    for (std::size_t s = probe_start(cell.value());; s = (s + 1) & mask_) {
-      if (slots_[s].first == cell.value()) return slots_[s].second;
-      if (slots_[s].first == kEmpty) return -1;
-    }
-  }
-
- private:
-  static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
-
-  [[nodiscard]] std::size_t probe_start(std::uint32_t id) const {
-    return static_cast<std::size_t>(id * 0x9e3779b1U) & mask_;
-  }
-
-  std::size_t mask_;
-  std::vector<std::pair<std::uint32_t, int>> slots_;
+  /// CSR: the live nets on cell c's pins (inputs, then output) are
+  /// cell_nets[cell_net_begin[c] ..].
+  std::vector<int> cell_net_begin;
+  std::vector<int> cell_nets;
+  std::vector<int> region_index;
+  std::vector<int> net_slot;
+  std::vector<int> slot_net;
+  std::vector<int> slot_last;  // last region cell seen on the net
+  /// Distinct region cells on the net, then the edge's fill cursor into
+  /// graph.pins (-1 when the net is no edge).
+  std::vector<int> slot_fill;
+  /// (slot, region index) per distinct pin, in region order.
+  std::vector<std::pair<int, int>> slot_pins;
+  Hypergraph graph;
+  FmWorkspace fm;
+  FmStats stats;
 };
 
 /// Splits `cells` into two area-balanced halves ordered by a BFS over the
 /// connectivity (cheap locality above the FM threshold).
 std::pair<std::vector<CellId>, std::vector<CellId>> connectivity_split(
     const Netlist& netlist, const std::vector<std::int64_t>& weights,
-    const std::vector<CellId>& cells) {
-  const LocalIndex index_of(cells);
+    const std::vector<CellId>& cells, PlaceScratch& scratch) {
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    scratch.region_index[cells[i].value()] = static_cast<int>(i);
+  }
   std::vector<std::uint8_t> visited(cells.size(), 0);
   std::vector<CellId> order;
   order.reserve(cells.size());
@@ -82,7 +87,7 @@ std::pair<std::vector<CellId>, std::vector<CellId>> connectivity_split(
         const Net& n = netlist.net(net);
         if (n.fanouts.size() > 16) return;  // skip high-fanout nets
         auto visit_cell = [&](CellId c) {
-          const int local = index_of.find(c);
+          const int local = c.valid() ? scratch.region_index[c.value()] : -1;
           if (local < 0) return;
           auto& v = visited[static_cast<std::size_t>(local)];
           if (!v) {
@@ -98,6 +103,7 @@ std::pair<std::vector<CellId>, std::vector<CellId>> connectivity_split(
       if (cell.out.valid()) visit_net(cell.out);
     }
   }
+  for (const CellId c : cells) scratch.region_index[c.value()] = -1;
   const std::int64_t total = std::accumulate(
       cells.begin(), cells.end(), std::int64_t{0},
       [&](std::int64_t acc, CellId c) { return acc + weights[c.value()]; });
@@ -115,44 +121,60 @@ std::pair<std::vector<CellId>, std::vector<CellId>> connectivity_split(
 }
 
 /// FM bipartition of a region. Its hyperedges are the live nets on its own
-/// cells' pins with >= 2 distinct region cells, in ascending net id, each
-/// listing its cells by ascending region index.
+/// cells' pins with >= 2 distinct region cells, in first-seen order, each
+/// listing its cells by ascending region index (FM's result depends on
+/// neither order, fm.hpp). One pass over the pins gives each net a slot
+/// and records its distinct pins; a counting pass lays them out flat.
 std::pair<std::vector<CellId>, std::vector<CellId>> fm_split(
-    const Netlist& netlist, const std::vector<std::int64_t>& weights,
-    const std::vector<CellId>& cells, std::uint64_t seed) {
-  std::vector<std::int64_t> local_weights(cells.size());
-  // (net id, region index) per pin. Sorted and deduplicated, each net's
-  // region cells are contiguous and in ascending index.
-  std::vector<std::uint64_t> pins;
+    const std::vector<std::int64_t>& weights, const std::vector<CellId>& cells,
+    std::uint64_t seed, PlaceScratch& scratch) {
+  Hypergraph& graph = scratch.graph;
+  graph.clear();
+  scratch.slot_net.clear();
+  scratch.slot_last.clear();
+  scratch.slot_fill.clear();
+  scratch.slot_pins.clear();
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    local_weights[i] = weights[cells[i].value()];
-    const Cell& cell = netlist.cell(cells[i]);
-    auto add = [&](NetId net) {
-      if (net.valid() && netlist.net(net).alive) {
-        pins.push_back(std::uint64_t{net.value()} << 32 | i);
+    graph.weights.push_back(weights[cells[i].value()]);
+    const int index = static_cast<int>(i);
+    const std::uint32_t c = cells[i].value();
+    for (int p = scratch.cell_net_begin[c]; p < scratch.cell_net_begin[c + 1];
+         ++p) {
+      const int net = scratch.cell_nets[static_cast<std::size_t>(p)];
+      int& slot = scratch.net_slot[static_cast<std::size_t>(net)];
+      if (slot < 0) {
+        slot = static_cast<int>(scratch.slot_net.size());
+        scratch.slot_net.push_back(net);
+        scratch.slot_last.push_back(-1);
+        scratch.slot_fill.push_back(0);
       }
-    };
-    for (const NetId in : cell.ins) add(in);
-    add(cell.out);
-  }
-  std::sort(pins.begin(), pins.end());
-  pins.erase(std::unique(pins.begin(), pins.end()), pins.end());
-  std::vector<std::vector<int>> hyperedges;
-  for (std::size_t a = 0; a < pins.size();) {
-    std::size_t b = a;
-    while (b < pins.size() && pins[b] >> 32 == pins[a] >> 32) ++b;
-    if (b - a >= 2) {
-      std::vector<int>& members = hyperedges.emplace_back();
-      for (std::size_t p = a; p < b; ++p) {
-        members.push_back(static_cast<int>(pins[p] & 0xffffffffU));
-      }
+      // Cells come in index order, so a repeated pin repeats the last one.
+      const auto s = static_cast<std::size_t>(slot);
+      if (scratch.slot_last[s] == index) continue;
+      scratch.slot_last[s] = index;
+      ++scratch.slot_fill[s];
+      scratch.slot_pins.emplace_back(slot, index);
     }
-    a = b;
   }
+  for (const int net : scratch.slot_net) {
+    scratch.net_slot[static_cast<std::size_t>(net)] = -1;
+  }
+  // Nets with >= 2 region cells become edges, in slot order.
+  for (int& fill : scratch.slot_fill) {
+    const int size = fill;
+    fill = size < 2 ? -1 : graph.edge_begin.back();
+    if (size >= 2) graph.edge_begin.push_back(graph.edge_begin.back() + size);
+  }
+  graph.pins.resize(static_cast<std::size_t>(graph.edge_begin.back()));
+  for (const auto& [slot, index] : scratch.slot_pins) {
+    int& fill = scratch.slot_fill[static_cast<std::size_t>(slot)];
+    if (fill >= 0) graph.pins[static_cast<std::size_t>(fill++)] = index;
+  }
+
   FmOptions options;
   options.seed = seed;
-  const FmResult result =
-      fm_bipartition(local_weights, hyperedges, options);
+  const FmResult result = fm_bipartition(graph, options, scratch.fm);
+  scratch.stats += result.stats;
   std::pair<std::vector<CellId>, std::vector<CellId>> halves;
   for (std::size_t i = 0; i < cells.size(); ++i) {
     (result.side[i] ? halves.second : halves.first).push_back(cells[i]);
@@ -166,6 +188,55 @@ std::pair<std::vector<CellId>, std::vector<CellId>> fm_split(
     }
   }
   return halves;
+}
+
+/// What the recursive bisection shares across regions.
+struct Bisection {
+  const Netlist& netlist;
+  const std::vector<std::int64_t>& weights;
+  const PlaceOptions& options;
+  Placement& placement;
+  PlaceScratch scratch;
+};
+
+/// Places `region`'s cells: grids a leaf, else splits it (FM seeded by the
+/// region's path, see region_seed) and recurses into both halves.
+void bisect(Bisection& ctx, Region region, std::uint64_t path) {
+  if (static_cast<int>(region.cells.size()) <= ctx.options.leaf_size) {
+    // Grid the leaf cells inside the region.
+    const int cols = static_cast<int>(
+        std::ceil(std::sqrt(static_cast<double>(region.cells.size()))));
+    for (std::size_t i = 0; i < region.cells.size(); ++i) {
+      const int r = static_cast<int>(i) / cols;
+      const int c = static_cast<int>(i) % cols;
+      ctx.placement.pos[region.cells[i].value()] = {
+          region.x0 + (region.x1 - region.x0) * (c + 0.5) / cols,
+          region.y0 + (region.y1 - region.y0) * (r + 0.5) / cols};
+    }
+    return;
+  }
+  auto halves =
+      static_cast<int>(region.cells.size()) <= ctx.options.fm_threshold
+          ? fm_split(ctx.weights, region.cells,
+                     region_seed(ctx.options.seed, path), ctx.scratch)
+          : connectivity_split(ctx.netlist, ctx.weights, region.cells,
+                               ctx.scratch);
+  region.cells = {};  // the halves hold them now
+  Region a{region.x0, region.y0, region.x1, region.y1,
+           std::move(halves.first)};
+  Region b{region.x0, region.y0, region.x1, region.y1,
+           std::move(halves.second)};
+  if ((region.x1 - region.x0) >= (region.y1 - region.y0)) {
+    const double mid = (region.x0 + region.x1) / 2;
+    a.x1 = mid;
+    b.x0 = mid;
+  } else {
+    const double mid = (region.y0 + region.y1) / 2;
+    a.y1 = mid;
+    b.y0 = mid;
+  }
+  bisect(ctx, std::move(a), 2 * path);
+  bisect(ctx, std::move(b), 2 * path + 1);
 }
 
 }  // namespace
@@ -235,45 +306,9 @@ Placement place(const Netlist& netlist, const CellLibrary& library,
   placement.height_um = die;
   if (cells.empty()) return placement;
 
-  // Recursive bisection with path-derived FM seeds (see region_seed).
-  const std::function<void(Region, std::uint64_t)> bisect =
-      [&](Region region, std::uint64_t path) {
-        if (static_cast<int>(region.cells.size()) <= options.leaf_size) {
-          // Grid the leaf cells inside the region.
-          const int cols = static_cast<int>(std::ceil(
-              std::sqrt(static_cast<double>(region.cells.size()))));
-          for (std::size_t i = 0; i < region.cells.size(); ++i) {
-            const int r = static_cast<int>(i) / cols;
-            const int c = static_cast<int>(i) % cols;
-            placement.pos[region.cells[i].value()] = {
-                region.x0 + (region.x1 - region.x0) * (c + 0.5) / cols,
-                region.y0 + (region.y1 - region.y0) * (r + 0.5) / cols};
-          }
-          return;
-        }
-        const auto halves =
-            static_cast<int>(region.cells.size()) <= options.fm_threshold
-                ? fm_split(netlist, weights, region.cells,
-                           region_seed(options.seed, path))
-                : connectivity_split(netlist, weights, region.cells);
-        const bool split_x =
-            (region.x1 - region.x0) >= (region.y1 - region.y0);
-        Region a = region, b = region;
-        if (split_x) {
-          const double mid = (region.x0 + region.x1) / 2;
-          a.x1 = mid;
-          b.x0 = mid;
-        } else {
-          const double mid = (region.y0 + region.y1) / 2;
-          a.y1 = mid;
-          b.y0 = mid;
-        }
-        a.cells = std::move(halves.first);
-        b.cells = std::move(halves.second);
-        bisect(std::move(a), 2 * path);
-        bisect(std::move(b), 2 * path + 1);
-      };
-  bisect(Region{0, 0, die, die, std::move(cells)}, 1);
+  Bisection ctx{netlist, weights, options, placement, PlaceScratch(netlist)};
+  bisect(ctx, Region{0, 0, die, die, std::move(cells)}, 1);
+  placement.fm = ctx.scratch.stats;
   return placement;
 }
 

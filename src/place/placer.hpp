@@ -7,14 +7,17 @@
 // region along its longer side. The result feeds the wireload model (net
 // capacitance from half-perimeter wirelength) and clock-tree synthesis.
 //
-// Cost: every region is split in time linear in its own cells' pins (plus
-// a sort of them for FM regions) — its hyperedges are the nets on those
-// pins, and its only scratch is sized to the region — so a placement costs
-// O(pins * depth) overall. FM regions see each pass at O(pins) plus bucket
-// bitset reads (src/place/fm.hpp).
+// Cost: every region is split in time linear in its own cells' pins — an
+// FM region's hyperedges are gathered in two passes into a flat CSR
+// hypergraph through a net -> edge slot map, with no sort and no per-edge
+// allocation — so a placement costs O(pins * depth) overall. One placement
+// allocates its FM scratch (hypergraph, slot map, FmWorkspace) once and
+// reuses it for every region; FM passes are O(pins) plus bucket bitset
+// reads and stop early once no later move can help (src/place/fm.hpp).
 //
-// Determinism contract: a region's FM hyperedges are its nets in ascending
-// net id, each listing its region cells in ascending region index, and FM
+// Determinism contract: a region's FM hyperedges are its live nets with at
+// least two region cells, each listing its cells by ascending region
+// index; FM's result depends on neither the edge nor the member order, and
 // breaks gain ties by lowest index (fm.hpp). Together with path-derived
 // seeds this fixes the placement bit for bit, independent of how the
 // hyperedges are gathered.
@@ -25,6 +28,7 @@
 
 #include "src/library/cell_library.hpp"
 #include "src/netlist/netlist.hpp"
+#include "src/place/fm.hpp"
 
 namespace tp {
 
@@ -46,6 +50,8 @@ struct Placement {
   std::vector<std::pair<double, double>> pos;
   double width_um = 0;
   double height_um = 0;
+  /// FM work summed over every FM region of this placement.
+  FmStats fm;
 
   /// Half-perimeter wirelength of one net (um); 0 for degenerate nets.
   [[nodiscard]] double net_hpwl_um(const Netlist& netlist, NetId net) const;

@@ -26,6 +26,23 @@ TEST(Netlist, BuildAndValidate) {
   EXPECT_EQ(nl.live_cells().size(), 5u);
 }
 
+TEST(Netlist, ValidateReportsPinMissingFromFanoutList) {
+  Netlist nl = small_comb();
+  const CellId b = nl.inputs()[1];
+  // Corrupt the netlist behind its API: drop g1's pin-1 ref from net b.
+  auto& fanouts = const_cast<Net&>(nl.net(nl.cell(b).out)).fanouts;
+  ASSERT_EQ(fanouts.size(), 1u);
+  ASSERT_EQ(fanouts[0].pin, 1u);
+  fanouts.clear();
+  try {
+    nl.validate();
+    FAIL() << "validate accepted a pin missing from its fanout list";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "validate: cell g1 pin 1 not in fanout list of net b");
+  }
+}
+
 TEST(Netlist, WrongPinCountThrows) {
   Netlist nl("bad");
   const NetId a = nl.add_net("a");

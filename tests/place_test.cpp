@@ -23,6 +23,23 @@ namespace {
 
 const CellLibrary& lib() { return CellLibrary::nominal_28nm(); }
 
+Hypergraph flat(const std::vector<std::int64_t>& weights,
+                const std::vector<std::vector<int>>& edges) {
+  Hypergraph graph;
+  graph.weights = weights;
+  for (const auto& edge : edges) {
+    graph.pins.insert(graph.pins.end(), edge.begin(), edge.end());
+    graph.edge_begin.push_back(static_cast<int>(graph.pins.size()));
+  }
+  return graph;
+}
+
+FmResult fm_bipartition(const Hypergraph& graph,
+                        const FmOptions& options = {}) {
+  FmWorkspace workspace;
+  return fm_bipartition(graph, options, workspace);
+}
+
 TEST(Fm, CutsCliquePairCleanly) {
   // Two 4-cliques joined by one edge: the optimal cut is 1.
   std::vector<std::int64_t> weights(8, 1);
@@ -35,7 +52,7 @@ TEST(Fm, CutsCliquePairCleanly) {
     }
   }
   edges.push_back({0, 4});
-  const FmResult r = fm_bipartition(weights, edges);
+  const FmResult r = fm_bipartition(flat(weights, edges));
   EXPECT_EQ(r.cut, 1);
   // Each clique stays on one side.
   for (int i = 1; i < 4; ++i) EXPECT_EQ(r.side[0], r.side[i]);
@@ -46,7 +63,7 @@ TEST(Fm, RespectsBalance) {
   std::vector<std::int64_t> weights(20, 1);
   std::vector<std::vector<int>> edges;
   for (int i = 0; i + 1 < 20; ++i) edges.push_back({i, i + 1});
-  const FmResult r = fm_bipartition(weights, edges);
+  const FmResult r = fm_bipartition(flat(weights, edges));
   int side0 = 0;
   for (const auto s : r.side) side0 += (s == 0);
   EXPECT_GE(side0, 8);
@@ -55,7 +72,7 @@ TEST(Fm, RespectsBalance) {
 }
 
 TEST(Fm, SingleVertex) {
-  const FmResult r = fm_bipartition({1}, {});
+  const FmResult r = fm_bipartition(flat({1}, {}));
   EXPECT_EQ(r.cut, 0);
 }
 
@@ -183,43 +200,92 @@ FmResult reference_fm(const std::vector<std::int64_t>& weights,
   return result;
 }
 
+struct FmCase {
+  std::vector<std::int64_t> weights;
+  std::vector<std::vector<int>> edges;
+  FmOptions options;
+};
+
+/// One random hypergraph per trial, cycling through the shapes that stress
+/// the selection contract.
+FmCase random_fm_case(Rng& rng, int trial) {
+  FmCase c;
+  const int shape = trial % 7;
+  const std::size_t n =
+      shape == 0 ? 2 : static_cast<std::size_t>(rng.range(3, 160));
+  c.weights.assign(n, 1);
+  if (shape == 2 || shape == 3) {
+    for (auto& w : c.weights) w = rng.range(1, 40);  // mixed cell areas
+  }
+  if (shape == 3) {
+    // A few heavy vertices: their moves hit the balance bound.
+    for (int k = 0; k < 3; ++k) c.weights[rng.below(n)] = rng.range(50, 400);
+  }
+  if (shape != 4) {  // shape 4: no edges at all
+    const auto num_edges = rng.range(0, static_cast<std::int64_t>(3 * n));
+    for (std::int64_t e = 0; e < num_edges; ++e) {
+      // Shape 5: only 2-pin edges on a few vertices, so many gains tie.
+      const auto size = shape == 5 ? 2 : rng.range(1, 6);
+      const std::size_t span = shape == 5 ? std::min<std::size_t>(n, 12) : n;
+      std::vector<int> edge;
+      for (std::int64_t k = 0; k < size; ++k) {
+        edge.push_back(static_cast<int>(rng.below(span)));
+      }
+      std::sort(edge.begin(), edge.end());
+      edge.erase(std::unique(edge.begin(), edge.end()), edge.end());
+      c.edges.push_back(std::move(edge));
+    }
+  }
+  if (shape == 6) {
+    // A few clock-like edges over at least half the vertices: they lock on
+    // both sides early in a pass, so FM skips them as dead and may stop
+    // the pass before every vertex has moved.
+    std::vector<int> all(n);
+    std::iota(all.begin(), all.end(), 0);
+    for (std::int64_t k = rng.range(1, 3); k > 0; --k) {
+      rng.shuffle(all);
+      std::vector<int> edge(
+          all.begin(),
+          all.begin() + rng.range(static_cast<std::int64_t>((n + 1) / 2),
+                                  static_cast<std::int64_t>(n)));
+      std::sort(edge.begin(), edge.end());
+      c.edges.push_back(std::move(edge));
+    }
+  }
+  c.options.seed = rng.next();
+  c.options.balance_tolerance = trial % 4 == 0 ? 0.02 : 0.1;
+  return c;
+}
+
 TEST(Fm, MatchesLinearScanReference) {
   Rng rng(2024);
+  FmStats clock_like;
   for (int trial = 0; trial < 240; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
-    // Cycle through the shapes that stress the selection contract.
-    const int shape = trial % 6;
-    const std::size_t n =
-        shape == 0 ? 2 : static_cast<std::size_t>(rng.range(3, 160));
-    std::vector<std::int64_t> weights(n, 1);
-    if (shape == 2 || shape == 3) {
-      for (auto& w : weights) w = rng.range(1, 40);  // mixed cell areas
-    }
-    if (shape == 3) {
-      // A few heavy vertices: their moves hit the balance bound.
-      for (int k = 0; k < 3; ++k) weights[rng.below(n)] = rng.range(50, 400);
-    }
-    std::vector<std::vector<int>> edges;
-    if (shape != 4) {  // shape 4: no edges at all
-      const auto num_edges = rng.range(0, static_cast<std::int64_t>(3 * n));
-      for (std::int64_t e = 0; e < num_edges; ++e) {
-        // Shape 5: only 2-pin edges on a few vertices, so many gains tie.
-        const auto size = shape == 5 ? 2 : rng.range(1, 6);
-        const std::size_t span = shape == 5 ? std::min<std::size_t>(n, 12) : n;
-        std::vector<int> edge;
-        for (std::int64_t k = 0; k < size; ++k) {
-          edge.push_back(static_cast<int>(rng.below(span)));
-        }
-        std::sort(edge.begin(), edge.end());
-        edge.erase(std::unique(edge.begin(), edge.end()), edge.end());
-        edges.push_back(std::move(edge));
-      }
-    }
-    FmOptions options;
-    options.seed = rng.next();
-    options.balance_tolerance = trial % 4 == 0 ? 0.02 : 0.1;
-    const FmResult want = reference_fm(weights, edges, options);
-    const FmResult got = fm_bipartition(weights, edges, options);
+    const FmCase c = random_fm_case(rng, trial);
+    const FmResult want = reference_fm(c.weights, c.edges, c.options);
+    const FmResult got = fm_bipartition(flat(c.weights, c.edges), c.options);
+    ASSERT_EQ(got.side, want.side);
+    ASSERT_EQ(got.cut, want.cut);
+    if (trial % 7 == 6) clock_like += got.stats;
+  }
+  // The clock-like shape does cut passes short.
+  EXPECT_GT(clock_like.early_exits, 0);
+  EXPECT_GT(clock_like.moves, 0);
+}
+
+TEST(Fm, ResultIndependentOfEdgeAndPinOrder) {
+  Rng rng(2024);
+  Rng shuffler(99);
+  FmWorkspace workspace;  // reused across every trial's graph
+  for (int trial = 0; trial < 240; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    FmCase c = random_fm_case(rng, trial);
+    const FmResult want = fm_bipartition(flat(c.weights, c.edges), c.options);
+    shuffler.shuffle(c.edges);
+    for (auto& edge : c.edges) shuffler.shuffle(edge);
+    const FmResult got =
+        fm_bipartition(flat(c.weights, c.edges), c.options, workspace);
     ASSERT_EQ(got.side, want.side);
     ASSERT_EQ(got.cut, want.cut);
   }
