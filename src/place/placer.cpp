@@ -24,14 +24,16 @@ std::uint64_t region_seed(std::uint64_t seed, std::uint64_t path) {
   return z ^ (z >> 31);
 }
 
-/// A placement's scratch, allocated once and reused by every region: a
-/// cell -> region-index map and a net -> edge-slot map (both -1 outside
-/// the region being split, reset after it, so a region costs O(its pins),
-/// not O(netlist)), per-slot state, and FM's hypergraph and workspace.
+/// A placement's scratch, allocated once and reused by every region: the
+/// netlist's pins as two CSRs, an unvisited mark per cell and the BFS
+/// order for connectivity splits, a net -> edge-slot map (-1 outside the
+/// region being split, reset after it, so a region costs O(its pins), not
+/// O(netlist)), per-slot state, and FM's hypergraph and workspace.
 struct PlaceScratch {
   explicit PlaceScratch(const Netlist& netlist)
       : cell_net_begin(netlist.num_cells() + 1, 0),
-        region_index(netlist.num_cells(), -1),
+        net_cell_begin(netlist.num_nets() + 1, 0),
+        unvisited(netlist.num_cells(), 0),
         net_slot(netlist.num_nets(), -1) {
     for (std::uint32_t c = 0; c < netlist.num_cells(); ++c) {
       const Cell& cell = netlist.cell(CellId{c});
@@ -44,13 +46,35 @@ struct PlaceScratch {
       add(cell.out);
       cell_net_begin[c + 1] = static_cast<int>(cell_nets.size());
     }
+    for (std::uint32_t n = 0; n < netlist.num_nets(); ++n) {
+      const Net& net = netlist.net(NetId{n});
+      if (net.fanouts.size() <= kMaxBfsFanout) {
+        if (net.driver.valid()) {
+          net_cells.push_back(static_cast<int>(net.driver.value()));
+        }
+        for (const PinRef& ref : net.fanouts) {
+          net_cells.push_back(static_cast<int>(ref.cell.value()));
+        }
+      }
+      net_cell_begin[n + 1] = static_cast<int>(net_cells.size());
+    }
   }
+
+  /// Nets with more fanout pins carry no BFS locality and list no cells.
+  static constexpr std::size_t kMaxBfsFanout = 16;
 
   /// CSR: the live nets on cell c's pins (inputs, then output) are
   /// cell_nets[cell_net_begin[c] ..].
   std::vector<int> cell_net_begin;
   std::vector<int> cell_nets;
-  std::vector<int> region_index;
+  /// CSR: net n's driver, then its fanout cells in fanout order, are
+  /// net_cells[net_cell_begin[n] ..] (empty above kMaxBfsFanout).
+  std::vector<int> net_cell_begin;
+  std::vector<int> net_cells;
+  /// 1 for the cells of the region being split that the BFS has not
+  /// reached; the BFS reaches them all, so it is all 0 between regions.
+  std::vector<std::uint8_t> unvisited;
+  std::vector<CellId> bfs_order;
   std::vector<int> net_slot;
   std::vector<int> slot_net;
   std::vector<int> slot_last;  // last region cell seen on the net
@@ -65,45 +89,37 @@ struct PlaceScratch {
 };
 
 /// Splits `cells` into two area-balanced halves ordered by a BFS over the
-/// connectivity (cheap locality above the FM threshold).
+/// connectivity (cheap locality above the FM threshold). The BFS order is
+/// its own queue: each component is appended as it is discovered.
 std::pair<std::vector<CellId>, std::vector<CellId>> connectivity_split(
-    const Netlist& netlist, const std::vector<std::int64_t>& weights,
-    const std::vector<CellId>& cells, PlaceScratch& scratch) {
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    scratch.region_index[cells[i].value()] = static_cast<int>(i);
-  }
-  std::vector<std::uint8_t> visited(cells.size(), 0);
-  std::vector<CellId> order;
-  order.reserve(cells.size());
-  std::vector<CellId> queue;
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    if (visited[i]) continue;
-    queue.assign(1, cells[i]);
-    visited[i] = 1;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const CellId u = queue[head];
-      order.push_back(u);
-      auto visit_net = [&](NetId net) {
-        const Net& n = netlist.net(net);
-        if (n.fanouts.size() > 16) return;  // skip high-fanout nets
-        auto visit_cell = [&](CellId c) {
-          const int local = c.valid() ? scratch.region_index[c.value()] : -1;
-          if (local < 0) return;
-          auto& v = visited[static_cast<std::size_t>(local)];
-          if (!v) {
-            v = 1;
-            queue.push_back(c);
+    const std::vector<std::int64_t>& weights, const std::vector<CellId>& cells,
+    PlaceScratch& scratch) {
+  for (const CellId c : cells) scratch.unvisited[c.value()] = 1;
+  std::vector<CellId>& order = scratch.bfs_order;
+  order.clear();
+  std::size_t head = 0;
+  for (const CellId start : cells) {
+    if (!scratch.unvisited[start.value()]) continue;
+    scratch.unvisited[start.value()] = 0;
+    order.push_back(start);
+    for (; head < order.size(); ++head) {
+      const std::uint32_t u = order[head].value();
+      for (int p = scratch.cell_net_begin[u]; p < scratch.cell_net_begin[u + 1];
+           ++p) {
+        const auto net = static_cast<std::size_t>(
+            scratch.cell_nets[static_cast<std::size_t>(p)]);
+        for (int q = scratch.net_cell_begin[net];
+             q < scratch.net_cell_begin[net + 1]; ++q) {
+          const auto c = static_cast<std::uint32_t>(
+              scratch.net_cells[static_cast<std::size_t>(q)]);
+          if (scratch.unvisited[c]) {
+            scratch.unvisited[c] = 0;
+            order.push_back(CellId{c});
           }
-        };
-        visit_cell(n.driver);
-        for (const PinRef& ref : n.fanouts) visit_cell(ref.cell);
-      };
-      const Cell& cell = netlist.cell(u);
-      for (const NetId in : cell.ins) visit_net(in);
-      if (cell.out.valid()) visit_net(cell.out);
+        }
+      }
     }
   }
-  for (const CellId c : cells) scratch.region_index[c.value()] = -1;
   const std::int64_t total = std::accumulate(
       cells.begin(), cells.end(), std::int64_t{0},
       [&](std::int64_t acc, CellId c) { return acc + weights[c.value()]; });
@@ -192,7 +208,6 @@ std::pair<std::vector<CellId>, std::vector<CellId>> fm_split(
 
 /// What the recursive bisection shares across regions.
 struct Bisection {
-  const Netlist& netlist;
   const std::vector<std::int64_t>& weights;
   const PlaceOptions& options;
   Placement& placement;
@@ -219,8 +234,7 @@ void bisect(Bisection& ctx, Region region, std::uint64_t path) {
       static_cast<int>(region.cells.size()) <= ctx.options.fm_threshold
           ? fm_split(ctx.weights, region.cells,
                      region_seed(ctx.options.seed, path), ctx.scratch)
-          : connectivity_split(ctx.netlist, ctx.weights, region.cells,
-                               ctx.scratch);
+          : connectivity_split(ctx.weights, region.cells, ctx.scratch);
   region.cells = {};  // the halves hold them now
   Region a{region.x0, region.y0, region.x1, region.y1,
            std::move(halves.first)};
@@ -306,7 +320,7 @@ Placement place(const Netlist& netlist, const CellLibrary& library,
   placement.height_um = die;
   if (cells.empty()) return placement;
 
-  Bisection ctx{netlist, weights, options, placement, PlaceScratch(netlist)};
+  Bisection ctx{weights, options, placement, PlaceScratch(netlist)};
   bisect(ctx, Region{0, 0, die, die, std::move(cells)}, 1);
   placement.fm = ctx.scratch.stats;
   return placement;

@@ -28,6 +28,20 @@
 // in src/sim/schedule.hpp); outputs() returns one packed word per primary
 // output. A VCD waveform is a per-lane concept: start_vcd()
 // records lane 0.
+//
+// Compiled view: the constructor flattens the netlist once into per-cell
+// arrays (kind, alive, output net, an input-net CSR) and three per-net
+// fanout CSRs, each in the net's fanout order: the data sinks a value
+// change re-evaluates (gates and latch D pins; FF data pins, outputs and
+// dead cells dropped), the clock-cell sinks it queues, and the register
+// clock-pin sinks update_registers samples (from the data side, a nested
+// clock event). The hot loops read only these arrays, never Cell/Net.
+// The netlist must therefore not be edited while a simulator on it lives
+// (the data-PI list and the event times are snapshotted as well).
+//
+// Each propagation wave is a two-level bitmap over cell ids — one bit per
+// cell plus one summary bit per 64-cell word — so reading it yields the
+// canonical ascending-id wave directly, with no per-wave sort.
 #pragma once
 
 #include <cstdint>
@@ -98,53 +112,85 @@ class WideSimulator {
   void stop_vcd() { vcd_ = nullptr; }
 
  private:
-  void propagate_clock_network(std::vector<NetId>& changed_clock_nets);
-  void update_registers(const std::vector<NetId>& changed_clock_nets);
+  /// A per-net CSR: the items of net n are items[begin[n] .. begin[n+1]).
+  struct NetLists {
+    std::vector<std::uint32_t> begin;
+    std::vector<std::uint32_t> items;
+    [[nodiscard]] std::span<const std::uint32_t> of(std::uint32_t net) const {
+      return {items.data() + begin[net], items.data() + begin[net + 1]};
+    }
+  };
+
+  void compile();
+  void clock_event(std::int64_t t);
+  void propagate_clock_network(std::vector<std::uint32_t>& changed_clock_nets);
+  void update_registers(const std::vector<std::uint32_t>& changed_clock_nets);
   void propagate_data();
-  void evaluate_cell(CellId cell, std::uint64_t trigger);
-  void set_net(NetId net, std::uint64_t word);
-  void enqueue_fanouts(NetId net, std::uint64_t changed_lanes);
+  void take_wave();
+  void evaluate_cell(std::uint32_t cell, std::uint64_t trigger);
+  void set_net(std::uint32_t net, std::uint64_t word);
+  void enqueue_fanouts(std::uint32_t net, std::uint64_t changed_lanes);
+  void schedule(std::uint32_t cell, std::uint64_t lanes);
+  void queue_clock_sinks(std::uint32_t net);
 
   /// Lane mask of lanes whose ICG internal latch is transparent.
-  [[nodiscard]] std::uint64_t icg_transparent(const Cell& cell) const;
+  [[nodiscard]] std::uint64_t icg_transparent(std::uint32_t cell) const;
+  [[nodiscard]] std::uint32_t in_net(std::uint32_t cell, int pin) const {
+    return in_nets_[in_begin_[cell] + static_cast<std::uint32_t>(pin)];
+  }
 
   const Netlist& netlist_;
   SimOptions options_;
   std::size_t lanes_ = 1;
   std::uint64_t lane_mask_ = 1;
 
+  // Compiled view (see the file comment), built once by compile().
+  std::vector<CellKind> kind_;          // per cell
+  std::vector<std::uint8_t> alive_;     // per cell
+  std::vector<std::uint32_t> out_;      // per cell: output net
+  std::vector<std::uint32_t> in_begin_;  // per cell: CSR into in_nets_
+  std::vector<std::uint32_t> in_nets_;
+  NetLists data_sinks_;   // per net: gates and latch D pins it drives
+  NetLists clock_sinks_;  // per net: clock cells it drives (any pin)
+  NetLists reg_sinks_;    // per net: registers whose clock pin it drives
+  std::vector<std::uint32_t> reset_high_;  // Const1 and init-1 register nets
+  std::vector<std::uint32_t> pi_nets_;  // Netlist::data_inputs() nets
+  std::vector<std::uint32_t> po_nets_;  // Netlist::outputs() source nets
+  std::vector<std::int64_t> event_times_;  // distinct edge times in a cycle
+
   std::vector<std::uint64_t> values_;     // per net, lane-packed
   std::vector<std::uint64_t> icg_state_;  // per cell: ICG enable latch
   std::vector<std::uint64_t> last_clock_;  // per cell: last clock-pin word
-  std::vector<std::int64_t> event_times_;  // distinct edge times in a cycle
-  std::vector<CellId> data_pis_;           // cached Netlist::data_inputs()
 
-  // Data-propagation worklists (current / next tick), union over lanes.
-  std::vector<CellId> tick_now_;
-  std::vector<CellId> tick_next_;
-  std::vector<char> queued_;  // per cell: already in tick_next_
+  // The next data wave: bit c of pending_ marks cell c, bit w of
+  // pending_words_ marks a nonzero pending_[w]. Ascending bit order is the
+  // canonical wave order.
+  std::vector<std::uint64_t> pending_;
+  std::vector<std::uint64_t> pending_words_;
+  bool any_pending_ = false;
+  std::vector<std::uint32_t> wave_;  // the wave being evaluated
   // Per cell: lanes whose fanin changed since the cell last evaluated.
   // Consumed (snapshotted into wave_trigger_, then zeroed) at the start of
   // each wave so same-wave fanin changes re-trigger for the *next* wave,
   // exactly like each lane's scalar schedule.
   std::vector<std::uint64_t> trigger_;
-  std::vector<std::uint64_t> wave_trigger_;  // aligned with tick_now_
+  std::vector<std::uint64_t> wave_trigger_;  // aligned with wave_
 
   // Clock-network worklist reused across events.
-  std::vector<CellId> clock_worklist_;
+  std::vector<std::uint32_t> clock_worklist_;
   // Clock nets changed during *data* propagation in some lane (illegal
   // gating); drained as nested clock events.
-  std::vector<NetId> nested_clock_changes_;
+  std::vector<std::uint32_t> nested_clock_changes_;
 
   // Reused scratch (mirrors the scalar engine's allocation-free hot path).
-  std::vector<NetId> event_clock_changes_;
+  std::vector<std::uint32_t> event_clock_changes_;
   struct Write {
-    CellId cell;
+    std::uint32_t cell;
     std::uint64_t mask;  // lanes that sample this event
     std::uint64_t data;  // lane-packed value to sample
   };
   std::vector<Write> writes_;
-  std::vector<NetId> nested_scratch_;
+  std::vector<std::uint32_t> nested_scratch_;
 
   ActivityStats stats_;
   std::vector<std::uint64_t> po_snapshot_;

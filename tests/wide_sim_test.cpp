@@ -1,16 +1,18 @@
 // Bit-identity contract of the 64-lane bit-parallel simulator
 // (src/sim/wide_sim.hpp): lane i of a wide run must be bit-identical to a
 // scalar run driven with stimulus stream i, and the wide ActivityStats
-// must equal the per-lane scalar stats summed — across benchmarks, all
-// four design styles (including ICG / M1 / M2 cells), transparent-latch
-// init divergence, and nested clock events from illegal gating. Also the
-// lane-0 VCD writer.
+// must equal the per-lane scalar stats summed — across benchmarks, every
+// registered backend (including ICG / M1 / M2 / DDCG cells, clkbar,
+// clock dividers and dual-edge FFs), transparent-latch init divergence,
+// nested clock events from illegal gating and from data driving register
+// clock pins, and netlists with removed cells. Also the lane-0 VCD writer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <sstream>
 
 #include "src/circuits/benchmark.hpp"
+#include "src/flow/backend.hpp"
 #include "src/sim/stimulus.hpp"
 #include "src/sim/wide_sim.hpp"
 #include "src/transform/clock_gating.hpp"
@@ -56,6 +58,39 @@ std::vector<StyleNetlist> style_netlists(const circuits::Benchmark& bench) {
     infer_clock_gating(pl);
     PulsedLatchResult converted = to_pulsed_latch(pl);
     styles.push_back({"P-L", std::move(converted.netlist)});
+  }
+  return styles;
+}
+
+/// Every registered backend's conversion of one benchmark, through the
+/// pipeline run_flow() dispatches to with the default options (retiming,
+/// P2 gating, M1/M2 and DDCG on; DDCG's activity from a short scalar run).
+std::vector<StyleNetlist> backend_netlists(const circuits::Benchmark& bench) {
+  std::vector<StyleNetlist> styles;
+  const flow::FlowOptions options;
+  for (const flow::ConversionBackend* backend : flow::backend_registry()) {
+    StyleNetlist style{std::string(backend->display_name()), bench.netlist};
+    infer_clock_gating(style.netlist);
+    flow::FlowResult scratch;
+    flow::FlowContext ctx{
+        .netlist = style.netlist,
+        .options = options,
+        .library = CellLibrary::nominal_28nm(),
+        .result = scratch,
+        .checkpoint = [](std::string_view) {},
+        .activity =
+            [&] {
+              Simulator sim(style.netlist);
+              Rng rng(3);
+              run_stream(sim,
+                         random_stimulus(style.netlist.data_inputs().size(),
+                                         32, rng),
+                         4);
+              return sim.stats();
+            },
+    };
+    backend->convert(ctx);
+    styles.push_back(std::move(style));
   }
   return styles;
 }
@@ -124,10 +159,13 @@ void expect_bit_identity(const Netlist& netlist, std::size_t lane_count,
 }
 
 TEST(WideSimulator, BitIdenticalAcrossBenchmarksAndStyles) {
-  // One lane is what every single-stimulus flow simulates.
+  // One lane is what every single-stimulus flow simulates. All six
+  // backends: 2-P adds the clkbar phase, DET kClkDiv2 and kDffDet.
   for (const char* name : {"s1196", "s1488"}) {
     const circuits::Benchmark bench = circuits::make_benchmark(name);
-    for (const StyleNetlist& style : style_netlists(bench)) {
+    const std::vector<StyleNetlist> styles = backend_netlists(bench);
+    ASSERT_EQ(styles.size(), 6u);
+    for (const StyleNetlist& style : styles) {
       for (const std::size_t lanes : {1, 5}) {
         SCOPED_TRACE(std::string(name) + "/" + style.label + "/" +
                      std::to_string(lanes) + " lane(s)");
@@ -194,6 +232,57 @@ TEST(WideSimulator, NestedClockEventsFromIllegalGating) {
   nl.add_output("out", qb);
   expect_bit_identity(nl, /*lanes=*/4, /*cycles=*/16, /*seed=*/21,
                       /*warmup=*/0);
+}
+
+TEST(WideSimulator, DataDrivenRegisterClocksAndRemovedCells) {
+  // Every fanout class of the compiled view from the data side: a gated
+  // data net (AND of a register output and the clock) drives the clock
+  // pins of a DFF, an enabled DFF and both latch polarities — nested
+  // clock events in the lanes where it moves — next to plain gate, latch
+  // D and FF D fanouts. Removed cells (one whose clock pin sat on the
+  // data clock) leave dead ids among the live ones.
+  Netlist nl("data_clock");
+  const CellId clk = nl.add_input("clk");
+  nl.set_clock_root(clk, Phase::kClk);
+  const NetId clk_net = nl.cell(clk).out;
+  nl.clocks() = single_phase_spec(1000, clk_net);
+  const NetId in = nl.cell(nl.add_input("in")).out;
+  const NetId en = nl.cell(nl.add_input("en")).out;
+  const NetId qa = nl.add_net("qa");
+  nl.add_cell(CellKind::kDff, "a", {in, clk_net}, qa, Phase::kClk);
+  const CellId dead_gate = nl.add_gate(CellKind::kInv, "dead_inv", {qa});
+  const NetId dclk = nl.cell(nl.add_gate(CellKind::kAnd2, "dclk",
+                                         {qa, clk_net}))
+                         .out;
+  const NetId d = nl.cell(nl.add_gate(CellKind::kXor2, "d", {in, qa})).out;
+  const NetId qb = nl.add_net("qb");
+  nl.add_cell(CellKind::kDff, "b", {d, dclk}, qb, Phase::kClk);
+  const NetId qc = nl.add_net("qc");
+  nl.add_cell(CellKind::kDffEn, "c", {d, en, dclk}, qc, Phase::kClk);
+  const NetId qh = nl.add_net("qh");
+  const CellId lh = nl.add_cell(CellKind::kLatchH, "lh", {qb, dclk}, qh,
+                                Phase::kClk);
+  nl.set_init(lh, true);
+  const NetId ql = nl.add_net("ql");
+  nl.add_cell(CellKind::kLatchL, "ll", {qc, dclk}, ql, Phase::kClk);
+  const NetId qdead = nl.add_net("qdead");
+  const CellId dead_reg =
+      nl.add_cell(CellKind::kDff, "dead_ff", {d, dclk}, qdead, Phase::kClk);
+  const NetId o =
+      nl.cell(nl.add_gate(CellKind::kMaj3, "o", {qh, ql, qc})).out;
+  nl.add_output("out", o);
+  nl.add_output("qb", qb);
+  const NetId dead_out = nl.cell(dead_gate).out;
+  nl.remove_cell(dead_gate);
+  nl.remove_net(dead_out);
+  nl.remove_cell(dead_reg);
+  nl.remove_net(qdead);
+  nl.validate();
+  for (const std::size_t lanes : {1, 6}) {
+    SCOPED_TRACE(std::to_string(lanes) + " lane(s)");
+    expect_bit_identity(nl, lanes, /*cycles=*/20, /*seed=*/31,
+                        /*warmup=*/0);
+  }
 }
 
 TEST(WideSimulator, DdcgGroupsIdenticalFromScalarAndWideActivity) {
