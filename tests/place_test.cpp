@@ -8,11 +8,13 @@
 #include <map>
 #include <numeric>
 #include <string>
+#include <type_traits>
 
 #include "src/flow/backend.hpp"
 #include "src/flow/matrix.hpp"
 #include "src/place/fm.hpp"
 #include "src/place/placer.hpp"
+#include "src/timing/incremental.hpp"
 #include "src/transform/clock_gating.hpp"
 #include "src/util/executor.hpp"
 #include "src/util/hash.hpp"
@@ -369,7 +371,164 @@ std::uint64_t placement_hash(const Placement& placement) {
   return hash;
 }
 
+// Golden flow results: one key per flow over every FlowResult field the
+// flow computes except its stage times. Floats enter as bit patterns, the
+// timing report as its timing_identity text, so a one-ulp move in any
+// power group, any timing change or any changed count moves the key.
+std::uint64_t result_key(const flow::FlowResult& r) {
+  std::uint64_t hash = util::kFnvOffset;
+  const auto mix = [&hash](auto value) {
+    if constexpr (std::is_floating_point_v<decltype(value)>) {
+      hash = util::hash_combine(hash, std::bit_cast<std::uint64_t>(value));
+    } else {
+      hash = util::hash_combine(hash, static_cast<std::uint64_t>(value));
+    }
+  };
+  mix(r.registers);
+  mix(r.area_um2);
+  mix(r.power.clock_mw);
+  mix(r.power.seq_mw);
+  mix(r.power.comb_mw);
+  mix(r.power.leakage_mw);
+  mix(flow::stream_hash(r.outputs));
+  mix(util::fnv1a(timing_identity(r.timing)));
+  mix(r.hold.buffers_inserted);
+  mix(r.hold.passes);
+  mix(r.p2_gating.p2_cg_cells);
+  mix(r.p2_gating.p2_latches_gated);
+  mix(r.m2.converted);
+  mix(r.m2.kept);
+  mix(r.ddcg.groups);
+  mix(r.ddcg.latches_gated);
+  mix(r.ddcg.xor_cells);
+  mix(r.inserted_p2);
+  mix(r.duplicated_icgs);
+  mix(r.retime.latches_before);
+  mix(r.retime.latches_after);
+  mix(r.retime.moved);
+  mix(r.synthesis_cg.icgs_inserted);
+  mix(r.synthesis_cg.muxes_inserted);
+  mix(r.synthesis_cg.registers_gated);
+  mix(r.buffering.buffers_inserted);
+  mix(r.buffering.nets_buffered);
+  mix(r.pulse_generators);
+  mix(r.dividers);
+  return hash;
+}
+
+// Both golden tables come from one run of the 18 x 6 grid. A key is
+// re-recorded only with a CHANGES.md line naming it and the cause.
 TEST(Placer, BitIdenticalToParentOnPaperDesigns) {
+  static const std::map<std::string, std::uint64_t> kGoldenResults = {
+      {"s1196/ff", 0xe219db5703d5d8feULL},
+      {"s1196/ms", 0xdc586ebe6e39358aULL},
+      {"s1196/3p", 0xb03e5baca2c0fc17ULL},
+      {"s1196/pl", 0x55f39ff5f8406b7fULL},
+      {"s1196/2p", 0xc4a42b94e1a2cd92ULL},
+      {"s1196/det", 0xb1f7f8536d616e2dULL},
+      {"s1238/ff", 0xd2fb6b440dc07850ULL},
+      {"s1238/ms", 0xef615bb59c055dc1ULL},
+      {"s1238/3p", 0x7e55ab1cf8508c89ULL},
+      {"s1238/pl", 0x681a7be058cdb320ULL},
+      {"s1238/2p", 0x61359aeffe79546eULL},
+      {"s1238/det", 0x2d42469abb9ff9ceULL},
+      {"s1423/ff", 0x2a58839fbc068250ULL},
+      {"s1423/ms", 0xf7ac5308d5a9e37bULL},
+      {"s1423/3p", 0xf9115c5a8a254c53ULL},
+      {"s1423/pl", 0x1a86228472d221c9ULL},
+      {"s1423/2p", 0xa91d19091bc87dd5ULL},
+      {"s1423/det", 0x73284abcbd2c5610ULL},
+      {"s1488/ff", 0x1c72e4f1c8b59df4ULL},
+      {"s1488/ms", 0x8d4f474d8d65c31aULL},
+      {"s1488/3p", 0xf394ba45df83db6cULL},
+      {"s1488/pl", 0x0a3ac6ea0220b06eULL},
+      {"s1488/2p", 0x7022391de4246707ULL},
+      {"s1488/det", 0x5fe2aa29d65956efULL},
+      {"s5378/ff", 0xe67debf9f7077549ULL},
+      {"s5378/ms", 0xea8cc2175c257abfULL},
+      {"s5378/3p", 0x5ce2111f4340f809ULL},
+      {"s5378/pl", 0x18a2e2fae67bd42bULL},
+      {"s5378/2p", 0xf39c5641cc713394ULL},
+      {"s5378/det", 0x0d58ecd19c7a291aULL},
+      {"s9234/ff", 0xbc67cadf23f83001ULL},
+      {"s9234/ms", 0x8353dced332ab14aULL},
+      {"s9234/3p", 0xe13cc626ebaa6a99ULL},
+      {"s9234/pl", 0xa906d93d9501e13bULL},
+      {"s9234/2p", 0xe72f734686eba9bcULL},
+      {"s9234/det", 0xf7b2259c1e675680ULL},
+      {"s13207/ff", 0xcfa981a9d5b21640ULL},
+      {"s13207/ms", 0xd02a27ce98d62917ULL},
+      {"s13207/3p", 0x170bd39858b6f2c8ULL},
+      {"s13207/pl", 0x420b164b0ed96101ULL},
+      {"s13207/2p", 0x7197f2c6b828e073ULL},
+      {"s13207/det", 0x73d2ee963994cdd2ULL},
+      {"s15850/ff", 0xc3278783b3dda68eULL},
+      {"s15850/ms", 0x6e00fb5f32cac2cdULL},
+      {"s15850/3p", 0xf8926fcc3a2ef1dcULL},
+      {"s15850/pl", 0x856f443b7e1365afULL},
+      {"s15850/2p", 0x8649202af7216bceULL},
+      {"s15850/det", 0x4b3fa5c866a42716ULL},
+      {"s35932/ff", 0x254a44a185a9728bULL},
+      {"s35932/ms", 0x92bfaff7d7ee89fcULL},
+      {"s35932/3p", 0x82c8b7c5a8b0f315ULL},
+      {"s35932/pl", 0xd5ed733681e1a8efULL},
+      {"s35932/2p", 0x93afda38329b7ed7ULL},
+      {"s35932/det", 0x928a5e8157076964ULL},
+      {"s38417/ff", 0xde42f5b0443727b0ULL},
+      {"s38417/ms", 0xbb56ee3e957885dfULL},
+      {"s38417/3p", 0x0db66d26eb73c19dULL},
+      {"s38417/pl", 0x81763eea29c75a04ULL},
+      {"s38417/2p", 0x13aafee411f56448ULL},
+      {"s38417/det", 0xda01ad5d3896353cULL},
+      {"s38584/ff", 0x260fafc82e81ff55ULL},
+      {"s38584/ms", 0x625760ca4c48930fULL},
+      {"s38584/3p", 0xb197c1dada6cc8e5ULL},
+      {"s38584/pl", 0x349e0af4b69479e5ULL},
+      {"s38584/2p", 0xc97e510e42a368a5ULL},
+      {"s38584/det", 0xf33c097e11677994ULL},
+      {"AES/ff", 0xb4d2971a7df05a87ULL},
+      {"AES/ms", 0x066290248778c026ULL},
+      {"AES/3p", 0x69fd19433f387348ULL},
+      {"AES/pl", 0x7e25abb9ec72c9cdULL},
+      {"AES/2p", 0xf565b75c3824a1e5ULL},
+      {"AES/det", 0x11d9c3a841cc18b5ULL},
+      {"DES3/ff", 0xdcf90d97a34bb70cULL},
+      {"DES3/ms", 0x7de7a386af406b39ULL},
+      {"DES3/3p", 0x09851fb2ac3f21deULL},
+      {"DES3/pl", 0xb7d53ae8e1dab9d4ULL},
+      {"DES3/2p", 0x38ea173839b8af21ULL},
+      {"DES3/det", 0xefaddb09516ce8f5ULL},
+      {"SHA256/ff", 0xdee73d17d27f2b26ULL},
+      {"SHA256/ms", 0x01714d23dca98b72ULL},
+      {"SHA256/3p", 0x4639eeede240d8eeULL},
+      {"SHA256/pl", 0x753a38c9aa9ccc32ULL},
+      {"SHA256/2p", 0xfafa66c66adbfa15ULL},
+      {"SHA256/det", 0xfc261e45a859dc42ULL},
+      {"MD5/ff", 0x57e0d70d8acf46f9ULL},
+      {"MD5/ms", 0x287acc81ddcac144ULL},
+      {"MD5/3p", 0x527be076d33a6d91ULL},
+      {"MD5/pl", 0x2ef3315e909297e4ULL},
+      {"MD5/2p", 0x34e01674f5e8ce72ULL},
+      {"MD5/det", 0x604ef31a11e61438ULL},
+      {"Plasma/ff", 0x80ffd63b7ad8b8c2ULL},
+      {"Plasma/ms", 0x4ae9e25549549509ULL},
+      {"Plasma/3p", 0x9a23727a2cbd9048ULL},
+      {"Plasma/pl", 0x3502634ecbe033c2ULL},
+      {"Plasma/2p", 0x8f2ea958c777a4e1ULL},
+      {"Plasma/det", 0x494101e4f0033d65ULL},
+      {"RISCV/ff", 0x495a4daa1724c2f8ULL},
+      {"RISCV/ms", 0x1b64619c5d1a76e0ULL},
+      {"RISCV/3p", 0xd2d711d6cbcb222dULL},
+      {"RISCV/pl", 0x1fd7160a3f60e41eULL},
+      {"RISCV/2p", 0xbde189aeaf859449ULL},
+      {"RISCV/det", 0x0b76efffae9f3d2fULL},
+      {"ArmM0/ff", 0xa8b2b923e95f249cULL},
+      {"ArmM0/ms", 0xad32820080409f29ULL},
+      {"ArmM0/3p", 0xda86a881b2e3209fULL},
+      {"ArmM0/pl", 0x8d253c56e0b0ab4dULL},
+      {"ArmM0/2p", 0x1fd3f760ce4bb060ULL},
+      {"ArmM0/det", 0xf3ed4386fce41a90ULL},
+  };
   static const std::map<std::string, std::uint64_t> kGolden = {
       {"s1196/ff", 0x4d47aaa02071ad34ULL},
       {"s1196/ms", 0x0c959677e5007b7eULL},
@@ -518,6 +677,16 @@ TEST(Placer, BitIdenticalToParentOnPaperDesigns) {
       continue;
     }
     EXPECT_EQ(it->second, got) << "placement changed: " << line;
+
+    const std::uint64_t result = result_key(results[i].result);
+    std::snprintf(line, sizeof line, "{\"%s\", 0x%016llxULL},", key.c_str(),
+                  static_cast<unsigned long long>(result));
+    const auto golden = kGoldenResults.find(key);
+    if (golden == kGoldenResults.end()) {
+      ADD_FAILURE() << "no golden result key for " << line;
+      continue;
+    }
+    EXPECT_EQ(golden->second, result) << "flow result changed: " << line;
   }
 }
 
