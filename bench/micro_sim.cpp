@@ -93,7 +93,7 @@ void accumulate(ActivityStats& sum, const ActivityStats& lane) {
 
 int main(int argc, char** argv) {
   std::vector<std::string> circuits_arg, backends_arg;
-  std::size_t lanes = 64, cycles = 32, repeat = 3;
+  std::size_t lanes = 64, cycles = 0, repeat = 3;
   std::string out_file = "BENCH_sim.json";
 
   util::ArgParser parser(
@@ -110,7 +110,9 @@ int main(int argc, char** argv) {
                   "TOKEN");
   parser.add_value("--lanes", &lanes,
                    "stimulus lanes per measurement, 1-64 (default 64)");
-  parser.add_value("--cycles", &cycles, "cycles per lane (default 32)");
+  parser.add_value("--cycles", &cycles,
+                   "cycles per lane (default 32; 512 at one lane, so that "
+                   "each gated row times long enough to compare)");
   parser.add_value("--repeat", &repeat,
                    "timed repetitions; the best run counts (default 3)");
   parser.add_value("--out", &out_file,
@@ -122,6 +124,7 @@ int main(int argc, char** argv) {
                  parser.usage().c_str());
     return 2;
   }
+  if (cycles == 0) cycles = lanes == 1 ? 512 : 32;
   // The speed gate covers the default grid only: a hand-picked tiny
   // circuit times too briefly to gate on.
   const bool speed_gate =

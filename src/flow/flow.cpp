@@ -161,10 +161,8 @@ FlowResult run_flow(const circuits::Benchmark& benchmark, DesignStyle style,
   lap(result.times.convert_s);  // after the backend's last checkpoint
 
   // 3. Hold repair, then timing signoff, through one IncrementalTimer
-  // session. With the journal on, repair passes after the first re-time
-  // only the cones of the buffers just inserted, and the signoff patches
-  // from the repaired state; with it off, every sync is a full analysis.
-  if (options.incremental_timing) netlist.enable_journal();
+  // session: after a repair pass that inserted nothing, the signoff is
+  // the report that pass already computed.
   IncrementalTimer timer(library, options.timing);
   if (options.hold_repair) {
     result.hold = repair_hold(netlist, library, options.timing, 10, &timer);

@@ -66,11 +66,9 @@ struct FlowOptions {
   bool ddcg = true;
   DdcgOptions ddcg_options;
   bool hold_repair = true;
-  /// Hold repair and the signoff STA always share one IncrementalTimer
-  /// session. This switch only decides whether the netlist journals its
-  /// edits: on, each re-analysis after the first re-times only the edited
-  /// cones; off, every one is a full analysis. Reports are byte-identical
-  /// either way (the session's identity contract, gated by tests).
+  /// Inert: run_flow does not read it. Hold repair and the signoff STA
+  /// share one IncrementalTimer session, whose every analysis is a full
+  /// pass. Kept only for callers that still set it; it will be deleted.
   bool incremental_timing = true;
   PulsedLatchOptions pulsed_latch;
   TwoPhaseOptions two_phase;

@@ -51,7 +51,7 @@ bool workload_from_name(std::string_view text,
 
 std::string options_fingerprint(const FlowOptions& o) {
   // Every field that changes a FlowResult, in a fixed order. Excluded on
-  // purpose: incremental_timing (identical reports by contract), vcd and
+  // purpose: incremental_timing (inert, run_flow never reads it), vcd and
   // stage_hook (observation hooks), the nullptr-only executor placeholder,
   // and the lint waiver set (verdict presentation, not flow output). Bump
   // the leading version tag when the flow grows result-affecting options

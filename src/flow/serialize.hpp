@@ -7,8 +7,7 @@
 //  - options_fingerprint(): a canonical text rendering of every
 //    result-affecting FlowOptions field, hashed into the cache key so two
 //    requests share a cache entry iff their flows are configured
-//    identically (wall-clock-only switches like `incremental_timing` are
-//    excluded);
+//    identically (the inert `incremental_timing` field is excluded);
 //  - result_payload_json(): the JSON payload describing one MatrixResult.
 //    Deterministic by construction — it contains no wall-clock fields and
 //    is produced by the same JsonWriter code on every path, so a cache hit

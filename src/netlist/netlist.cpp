@@ -1,6 +1,5 @@
 #include "src/netlist/netlist.hpp"
 
-#include <algorithm>
 #include "src/util/strcat.hpp"
 
 namespace tp {
@@ -63,6 +62,7 @@ NetId Netlist::add_net(std::string name) {
   Net net;
   net.name = std::move(name);
   nets_.push_back(std::move(net));
+  ++edits_;
   return id;
 }
 
@@ -92,9 +92,7 @@ CellId Netlist::add_cell(CellKind kind, std::string name,
     if (is_clock_cell(kind)) net.is_clock = true;
   }
   cells_.push_back(std::move(cell));
-  touch(id);
-  if (out.valid()) touch(out);
-  for (const NetId in : cells_.back().ins) touch(in);
+  ++edits_;
   return id;
 }
 
@@ -127,9 +125,7 @@ void Netlist::replace_input(CellId cell_id, std::uint32_t pin, NetId net) {
   std::erase(old_fanouts, PinRef{cell_id, pin});
   cell.ins[pin] = net;
   nets_[net.value()].fanouts.push_back({cell_id, pin});
-  touch(cell_id);
-  touch(old);
-  touch(net);
+  ++edits_;
 }
 
 void Netlist::transfer_fanouts(NetId from, NetId to) {
@@ -142,19 +138,17 @@ void Netlist::transfer_fanouts(NetId from, NetId to) {
 void Netlist::remove_cell(CellId cell_id) {
   Cell& cell = cells_[cell_id.value()];
   require(cell.alive, "remove_cell: already dead");
-  touch(cell_id);
   for (std::uint32_t pin = 0; pin < cell.ins.size(); ++pin) {
-    touch(cell.ins[pin]);
     std::erase(nets_[cell.ins[pin].value()].fanouts, PinRef{cell_id, pin});
   }
   cell.ins.clear();
   if (cell.out.valid()) {
-    touch(cell.out);
     nets_[cell.out.value()].driver = CellId{};
     cell.out = NetId{};
   }
   cell.alive = false;
   reset_of_.erase(cell_id.value());
+  ++edits_;
 }
 
 void Netlist::remove_net(NetId net_id) {
@@ -163,7 +157,7 @@ void Netlist::remove_net(NetId net_id) {
   require(!net.driver.valid() && net.fanouts.empty(),
           "remove_net: net still connected");
   net.alive = false;
-  touch(net_id);
+  ++edits_;
 }
 
 void Netlist::morph_cell(CellId cell_id, CellKind kind) {
@@ -174,15 +168,13 @@ void Netlist::morph_cell(CellId cell_id, CellKind kind) {
   if (cell.out.valid() && is_clock_cell(kind)) {
     nets_[cell.out.value()].is_clock = true;
   }
-  touch(cell_id);
-  if (cell.out.valid()) touch(cell.out);
+  ++edits_;
 }
 
 void Netlist::morph_cell(CellId cell_id, CellKind kind,
                          std::vector<NetId> ins) {
   Cell& cell = cells_[cell_id.value()];
   for (std::uint32_t pin = 0; pin < cell.ins.size(); ++pin) {
-    touch(cell.ins[pin]);
     std::erase(nets_[cell.ins[pin].value()].fanouts, PinRef{cell_id, pin});
   }
   require(static_cast<int>(ins.size()) == num_inputs(kind),
@@ -190,29 +182,27 @@ void Netlist::morph_cell(CellId cell_id, CellKind kind,
   cell.ins = std::move(ins);
   cell.kind = kind;
   for (std::uint32_t pin = 0; pin < cell.ins.size(); ++pin) {
-    touch(cell.ins[pin]);
     nets_[cell.ins[pin].value()].fanouts.push_back({cell_id, pin});
   }
   if (cell.out.valid() && is_clock_cell(kind)) {
     nets_[cell.out.value()].is_clock = true;
   }
-  touch(cell_id);
-  if (cell.out.valid()) touch(cell.out);
+  ++edits_;
 }
 
 void Netlist::set_phase(CellId cell_id, Phase phase) {
   cells_[cell_id.value()].phase = phase;
-  touch(cell_id);
+  ++edits_;
 }
 
 void Netlist::set_init(CellId cell_id, bool init) {
   cells_[cell_id.value()].init = init ? 1 : 0;
-  touch(cell_id);
+  ++edits_;
 }
 
 void Netlist::mark_clock_net(NetId net, bool is_clock) {
   nets_[net.value()].is_clock = is_clock;
-  touch(net);
+  ++edits_;
 }
 
 std::vector<CellId> Netlist::data_inputs() const {
@@ -248,8 +238,7 @@ void Netlist::set_clock_root(CellId input_cell, Phase phase) {
   require(c.kind == CellKind::kInput, "set_clock_root: not an input cell");
   nets_[c.out.value()].is_clock = true;
   cells_[input_cell.value()].phase = phase;
-  touch(input_cell);
-  touch(c.out);
+  ++edits_;
 }
 
 void Netlist::declare_reset_root(CellId input_cell, bool active_low,
@@ -261,39 +250,18 @@ void Netlist::declare_reset_root(CellId input_cell, bool active_low,
     require(root.net != c.out, "declare_reset_root: already declared");
   }
   reset_roots_.push_back({c.out, active_low, release_order});
-  touch(input_cell);
-  touch(c.out);
+  ++edits_;
 }
 
 void Netlist::set_reset(CellId reg, NetId reset_net) {
   require(is_register(cell(reg).kind), "set_reset: not a register");
   reset_of_[reg.value()] = reset_net;
-  touch(reg);
+  ++edits_;
 }
 
 NetId Netlist::reset_of(CellId reg) const {
   const auto it = reset_of_.find(reg.value());
   return it == reset_of_.end() ? NetId{} : it->second;
-}
-
-TouchedSet Netlist::take_touched(JournalCursor& cursor) const {
-  TouchedSet touched;
-  touched.cells.assign(
-      touched_cells_.begin() + static_cast<std::ptrdiff_t>(cursor.cells),
-      touched_cells_.end());
-  touched.nets.assign(
-      touched_nets_.begin() + static_cast<std::ptrdiff_t>(cursor.nets),
-      touched_nets_.end());
-  cursor.cells = touched_cells_.size();
-  cursor.nets = touched_nets_.size();
-  const auto canonicalize = [](auto& ids) {
-    std::sort(ids.begin(), ids.end(),
-              [](auto a, auto b) { return a.value() < b.value(); });
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  };
-  canonicalize(touched.cells);
-  canonicalize(touched.nets);
-  return touched;
 }
 
 CellId insert_latch_after(Netlist& netlist, NetId q, NetId gate_root,

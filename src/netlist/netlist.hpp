@@ -37,6 +37,9 @@ struct PhaseWaveform {
   NetId root;
   std::int64_t rise_ps = 0;
   std::int64_t fall_ps = 0;
+
+  friend bool operator==(const PhaseWaveform&,
+                         const PhaseWaveform&) = default;
 };
 
 /// The design's clocking plan: a common period and one waveform per phase.
@@ -46,6 +49,8 @@ struct ClockSpec {
 
   [[nodiscard]] const PhaseWaveform* find(Phase phase) const;
   [[nodiscard]] NetId root(Phase phase) const;
+
+  friend bool operator==(const ClockSpec&, const ClockSpec&) = default;
 };
 
 /// Returns the canonical waveforms used throughout the project:
@@ -101,23 +106,6 @@ struct ResetRoot {
   NetId net;
   bool active_low = true;
   int release_order = 0;
-};
-
-/// Cell and net ids touched by netlist mutations since the journal was
-/// last drained; feeds the IncrementalTimer's dirty cones.
-struct TouchedSet {
-  std::vector<CellId> cells;
-  std::vector<NetId> nets;
-
-  [[nodiscard]] bool empty() const { return cells.empty() && nets.empty(); }
-};
-
-/// A read position into the append-only mutation journal. Every consumer
-/// (IncrementalTimer, ...) owns one cursor and drains independently: one
-/// consumer reading never starves another.
-struct JournalCursor {
-  std::size_t cells = 0;
-  std::size_t nets = 0;
 };
 
 class Netlist {
@@ -240,32 +228,20 @@ class Netlist {
     return reset_of_;
   }
 
-  // --- mutation journal ----------------------------------------------------
+  // --- edit counter --------------------------------------------------------
 
-  /// Starts recording the cell/net ids every mutator touches. Off by
-  /// default (zero overhead for construction-heavy code paths).
-  void enable_journal() { journal_enabled_ = true; }
-  [[nodiscard]] bool journal_enabled() const { return journal_enabled_; }
+  /// Grows with every call to the mutators above, add_net included. A
+  /// reader that saw the same count saw the same cells, nets, phases,
+  /// inits, clock-net marks and reset metadata. The clock plan is
+  /// not counted (clocks() hands out a mutable reference), so readers that
+  /// cache over it compare the ClockSpec as well.
+  [[nodiscard]] std::uint64_t edits() const { return edits_; }
 
-  /// Multi-consumer drain: returns everything appended since `cursor` was
-  /// last advanced (sorted, deduplicated) and moves the cursor to the end
-  /// of the log. Cursors from different consumers are independent.
-  TouchedSet take_touched(JournalCursor& cursor) const;
-
-  /// A cursor at the current end of the journal: an immediate drain
-  /// through it returns nothing.
-  [[nodiscard]] JournalCursor journal_cursor() const {
-    return {touched_cells_.size(), touched_nets_.size()};
-  }
+  /// Does nothing: every netlist counts its edits. Kept so that callers
+  /// written against the former per-edit journal still build.
+  void enable_journal() {}
 
  private:
-  void touch(CellId cell) {
-    if (journal_enabled_) touched_cells_.push_back(cell);
-  }
-  void touch(NetId net) {
-    if (journal_enabled_) touched_nets_.push_back(net);
-  }
-
   std::string name_;
   std::vector<Cell> cells_;
   std::vector<Net> nets_;
@@ -274,11 +250,7 @@ class Netlist {
   ClockSpec clocks_;
   std::vector<ResetRoot> reset_roots_;
   std::unordered_map<std::uint32_t, NetId> reset_of_;
-  bool journal_enabled_ = false;
-  // Append-only while the journal is enabled; consumers track positions
-  // with JournalCursors.
-  std::vector<CellId> touched_cells_;
-  std::vector<NetId> touched_nets_;
+  std::uint64_t edits_ = 0;
 };
 
 /// Inserts a transparent-high latch on phase `phase` at net `q`: all

@@ -21,21 +21,6 @@ int cycle_shift(double launch_close, double capture_close) {
   return capture_close > launch_close ? 0 : 1;
 }
 
-bool same_clocks(const ClockSpec& a, const ClockSpec& b) {
-  if (a.period_ps != b.period_ps || a.phases.size() != b.phases.size()) {
-    return false;
-  }
-  for (std::size_t i = 0; i < a.phases.size(); ++i) {
-    const PhaseWaveform& pa = a.phases[i];
-    const PhaseWaveform& pb = b.phases[i];
-    if (pa.phase != pb.phase || pa.root != pb.root ||
-        pa.rise_ps != pb.rise_ps || pa.fall_ps != pb.fall_ps) {
-      return false;
-    }
-  }
-  return true;
-}
-
 /// True for cells the arrival propagation evaluates: live combinational
 /// logic with an output, excluding the clock network (ideal clocks carry
 /// no data arrivals).
@@ -95,8 +80,6 @@ void SmoEngine::build_structure(const Netlist& netlist) {
   num_nets_ = netlist.num_nets();
   lev_ = levelize(netlist);
   registers_ = netlist.registers();
-  is_reg_.assign(num_cells_, 0);
-  for (const CellId id : registers_) is_reg_[id.value()] = 1;
   data_inputs_ = netlist.data_inputs();
   // Net loads and per-cell max delays are pure functions of the structure;
   // memoizing them here removes the per-pass pointer-chasing net_load_ff
@@ -114,14 +97,6 @@ void SmoEngine::build_structure(const Netlist& netlist) {
       delay_max_[i] = library_.delay_ps(cell.kind, load_[cell.out.value()]);
     }
   }
-  // Dirty-cone scratch sized to the netlist once; updates only clear the
-  // entries they set.
-  in_cone_net_.assign(num_nets_, 0);
-  in_cone_cell_.assign(num_cells_, 0);
-  reg_active_.assign(num_cells_, 0);
-  reg_frontier_.assign(num_cells_, 0);
-  po_dirty_.assign(num_cells_, 0);
-  indeg_.assign(num_cells_, 0);
   structure_ready_ = true;
 }
 
@@ -140,7 +115,6 @@ void SmoEngine::build_windows(const Netlist& netlist) {
   classes_.erase(std::unique(classes_.begin(), classes_.end()),
                  classes_.end());
   pi_class_ = class_of(TransparencyWindow{0.0, 0.0});
-  cached_clocks_ = netlist.clocks();
 }
 
 void SmoEngine::recompute_max_row(const Netlist& netlist, CellId id) {
@@ -396,338 +370,7 @@ void SmoEngine::run_full(const Netlist& netlist, bool setup_only,
     }
   }
   build_report(netlist);
-
-  primed_ = !setup_only;
   rows_dirty_ = true;
-  ++stats_.full_runs;
-}
-
-bool SmoEngine::guards_allow_patch(const Netlist& netlist,
-                                   const TouchedSet& touched) const {
-  // A cached state that is not a converged least fixpoint cannot be
-  // patched soundly; and clock-plan edits (which bypass the journal —
-  // clocks() hands out a mutable reference) move every window.
-  if (!report_.converged) return false;
-  if (!same_clocks(cached_clocks_, netlist.clocks())) return false;
-  if (netlist.num_cells() < num_cells_ || netlist.num_nets() < num_nets_) {
-    return false;
-  }
-  // Register-set membership or transparency-window changes alter the
-  // launch-class structure every cached arrival row is indexed by; fall
-  // back rather than remap (KISS — the hot paths insert buffers and morph
-  // combinational cells, they do not move windows).
-  for (const CellId id : touched.cells) {
-    const Cell& cell = netlist.cell(id);
-    const bool now_reg = cell.alive && is_register(cell.kind);
-    if (id.value() < num_cells_) {
-      if (static_cast<bool>(is_reg_[id.value()]) != now_reg) return false;
-      if (now_reg) {
-        const TransparencyWindow w = register_window(netlist, cell);
-        if (w.r != windows_[id.value()].r || w.f != windows_[id.value()].f) {
-          return false;
-        }
-      }
-    } else {
-      // New sequential cells, PIs, or POs change the register list /
-      // seed set / report scan order; new combinational cells patch fine.
-      if (now_reg || cell.kind == CellKind::kInput ||
-          cell.kind == CellKind::kOutput) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
-void SmoEngine::run_update(const Netlist& netlist, const TouchedSet& touched) {
-  if (!primed_) {
-    run_full(netlist);
-    return;
-  }
-  if (touched.empty() && netlist.num_cells() == num_cells_ &&
-      netlist.num_nets() == num_nets_ &&
-      same_clocks(cached_clocks_, netlist.clocks())) {
-    ++stats_.skipped_runs;
-    return;
-  }
-  if (guards_allow_patch(netlist, touched) && run_cone(netlist, touched)) {
-    ++stats_.incremental_runs;
-    return;
-  }
-  run_full(netlist);
-}
-
-bool SmoEngine::run_cone(const Netlist& netlist, const TouchedSet& touched) {
-  constexpr int kMaxRounds = 32;
-  const std::size_t comb_limit = lev_.comb_order.size() / 2 + 8;
-
-  // Grow every per-cell / per-net cache to the new shape (ids are never
-  // reused, so existing rows keep their meaning).
-  const std::size_t new_cells = netlist.num_cells();
-  const std::size_t new_nets = netlist.num_nets();
-  num_cells_ = new_cells;
-  num_nets_ = new_nets;
-  for (std::size_t c = 0; c < classes_.size(); ++c) {
-    arr_max_[c].resize(new_nets, kNegInf);
-    arr_min_[c].resize(new_nets, kPosInf);
-    if (track_borrow_) pred_[c].resize(new_nets);
-  }
-  load_.resize(new_nets, 0.0);
-  delay_max_.resize(new_cells, 0.0);
-  valid_.resize(new_cells, kNegInf);
-  is_reg_.resize(new_cells, 0);
-  windows_.resize(new_cells);
-  setup_cell_.resize(new_cells, kPosInf);
-  hold_pins_.resize(new_cells);
-  po_slack_.resize(new_cells, kPosInf);
-  in_cone_net_.resize(new_nets, 0);
-  in_cone_cell_.resize(new_cells, 0);
-  reg_active_.resize(new_cells, 0);
-  reg_frontier_.resize(new_cells, 0);
-  po_dirty_.resize(new_cells, 0);
-  indeg_.resize(new_cells, 0);
-
-  cone_nets_.clear();
-  cone_cells_.clear();
-  frontier_regs_.clear();
-  active_regs_.clear();
-  dirty_pos_.clear();
-  work_.clear();
-
-  const auto cleanup = [&] {
-    for (const NetId net : cone_nets_) in_cone_net_[net.value()] = 0;
-    for (const CellId id : cone_cells_) {
-      in_cone_cell_[id.value()] = 0;
-      indeg_[id.value()] = 0;
-    }
-    for (const CellId id : frontier_regs_) reg_frontier_[id.value()] = 0;
-    for (const CellId id : active_regs_) reg_active_[id.value()] = 0;
-    for (const CellId id : dirty_pos_) po_dirty_[id.value()] = 0;
-  };
-
-  const auto add_net = [&](NetId net) {
-    if (in_cone_net_[net.value()] != 0) return;
-    in_cone_net_[net.value()] = 1;
-    cone_nets_.push_back(net);
-    work_.push_back(net);
-  };
-  const auto add_comb = [&](CellId id) {
-    if (in_cone_cell_[id.value()] != 0) return;
-    in_cone_cell_[id.value()] = 1;
-    cone_cells_.push_back(id);
-    add_net(netlist.cell(id).out);
-  };
-  const auto mark_frontier = [&](CellId id) {
-    if (reg_active_[id.value()] != 0 || reg_frontier_[id.value()] != 0) {
-      return;
-    }
-    reg_frontier_[id.value()] = 1;
-    frontier_regs_.push_back(id);
-  };
-  const auto activate_reg = [&](CellId id) {
-    if (reg_active_[id.value()] != 0) return;
-    reg_active_[id.value()] = 1;
-    active_regs_.push_back(id);
-    add_net(netlist.cell(id).out);
-  };
-
-  // Seeds: touched nets get fresh loads (and their drivers fresh delays —
-  // a load change shifts the driver's entire output row), touched cells
-  // get recomputed outright.
-  for (const NetId net : touched.nets) {
-    const Net& n = netlist.net(net);
-    load_[net.value()] = n.alive ? library_.net_load_ff(netlist, net) : 0.0;
-    add_net(net);
-    if (n.alive && n.driver.valid()) {
-      const Cell& d = netlist.cell(n.driver);
-      delay_max_[n.driver.value()] =
-          library_.delay_ps(d.kind, load_[net.value()]);
-      if (is_register(d.kind)) {
-        activate_reg(n.driver);
-      } else if (propagated(d)) {
-        add_comb(n.driver);
-      }
-    }
-  }
-  for (const CellId id : touched.cells) {
-    const Cell& cell = netlist.cell(id);
-    if (!cell.alive) continue;  // its detached nets were journaled too
-    if (is_register(cell.kind)) {
-      mark_frontier(id);
-    } else if (cell.kind == CellKind::kInput) {
-      if (cell.out.valid()) add_net(cell.out);
-    } else if (propagated(cell)) {
-      add_comb(id);
-    }
-  }
-
-  std::size_t work_head = 0;
-  std::vector<CellId> order;
-  std::vector<CellId> ready;
-  for (int round = 0; round < kMaxRounds; ++round) {
-    // Forward closure: the combinational fanout cone, stopping at register
-    // data pins (frontier) and primary outputs. Clock cells are opaque:
-    // propagation never evaluates them.
-    while (work_head < work_.size()) {
-      const NetId net = work_[work_head++];
-      for (const PinRef& ref : netlist.net(net).fanouts) {
-        const Cell& sink = netlist.cell(ref.cell);
-        if (is_register(sink.kind)) {
-          if (static_cast<int>(ref.pin) != clock_pin(sink.kind)) {
-            mark_frontier(ref.cell);
-          }
-        } else if (sink.kind == CellKind::kOutput) {
-          if (po_dirty_[ref.cell.value()] == 0) {
-            po_dirty_[ref.cell.value()] = 1;
-            dirty_pos_.push_back(ref.cell);
-          }
-        } else if (propagated(sink)) {
-          add_comb(ref.cell);
-        }
-      }
-      if (cone_cells_.size() > comb_limit) {
-        cleanup();
-        return false;
-      }
-    }
-
-    // Cone-local topological order (Kahn over cone-internal edges). Any
-    // valid order yields identical values: one pass in topological order
-    // assigns every cell a pure function of fully-updated fan-ins. A
-    // cycle inside the cone means a combinational loop was created; fall
-    // back so the full pass throws exactly like a fresh analysis.
-    order.clear();
-    ready.clear();
-    std::sort(cone_cells_.begin(), cone_cells_.end(),
-              [](CellId a, CellId b) { return a.value() < b.value(); });
-    for (const CellId id : cone_cells_) {
-      int deg = 0;
-      for (const NetId in : netlist.cell(id).ins) {
-        const CellId drv = netlist.net(in).driver;
-        if (drv.valid() && in_cone_cell_[drv.value()] != 0) ++deg;
-      }
-      indeg_[id.value()] = deg;
-      if (deg == 0) ready.push_back(id);
-    }
-    std::size_t ready_head = 0;
-    while (ready_head < ready.size()) {
-      const CellId id = ready[ready_head++];
-      order.push_back(id);
-      for (const PinRef& ref : netlist.net(netlist.cell(id).out).fanouts) {
-        if (in_cone_cell_[ref.cell.value()] != 0 &&
-            --indeg_[ref.cell.value()] == 0) {
-          ready.push_back(ref.cell);
-        }
-      }
-    }
-    if (order.size() != cone_cells_.size()) {
-      cleanup();
-      return false;
-    }
-
-    // Reset every cone row to its seed value, then re-run the restricted
-    // fixpoint from below against the frozen (final) boundary.
-    for (const NetId net : cone_nets_) {
-      const Net& n = netlist.net(net);
-      const std::uint32_t v = net.value();
-      for (std::size_t c = 0; c < classes_.size(); ++c) {
-        arr_max_[c][v] = kNegInf;
-        if (track_borrow_) pred_[c][v] = NetId{};
-      }
-      const CellId drv = n.alive ? n.driver : CellId{};
-      const Cell* dc = drv.valid() ? &netlist.cell(drv) : nullptr;
-      if (dc != nullptr && dc->kind == CellKind::kInput && !n.is_clock) {
-        for (std::size_t c = 0; c < classes_.size(); ++c) {
-          arr_min_[c][v] = c == pi_class_ ? options_.input_delay_ps : kPosInf;
-        }
-        arr_max_[pi_class_][v] = options_.input_delay_ps;
-      } else if (dc != nullptr && is_register(dc->kind)) {
-        // Earliest-departure seed (w.r + clk2q_min) is arrival-independent
-        // and the window is unchanged (guard): the cached arr_min row
-        // stands. arr_max is re-established by update_register below.
-      } else if (dc != nullptr && propagated(*dc)) {
-        // Recomputed by the min/max passes below.
-      } else {
-        // Driverless, dead, clock-cell-driven, or clock-root nets carry no
-        // data arrivals — exactly the fresh-run initial values.
-        for (std::size_t c = 0; c < classes_.size(); ++c) {
-          arr_min_[c][v] = kPosInf;
-        }
-      }
-    }
-    for (const CellId id : active_regs_) valid_[id.value()] = kNegInf;
-
-    if (!setup_only_) {
-      for (const CellId id : order) recompute_min_row(netlist, id);
-    }
-
-    std::sort(active_regs_.begin(), active_regs_.end(),
-              [](CellId a, CellId b) { return a.value() < b.value(); });
-    bool changed = true;
-    int iterations = 0;
-    while (changed && iterations < options_.max_iterations) {
-      ++iterations;
-      changed = false;
-      for (const CellId id : order) recompute_max_row(netlist, id);
-      for (const CellId id : active_regs_) {
-        changed = update_register(netlist, id) || changed;
-      }
-    }
-    ++stats_.cone_rounds;
-    stats_.cone_cells += static_cast<long>(order.size());
-    if (changed) {
-      // The restricted fixpoint did not settle within the iteration
-      // budget; a full pass decides convergence.
-      cleanup();
-      return false;
-    }
-
-    // Frontier pruning: a register whose would-be departure is bitwise
-    // equal to its cached output row is transparent to the edit (its own
-    // slack is still recomputed below). Flip-flop departures are
-    // arrival-independent, so FF frontiers always prune. Anything else
-    // extends the cone and reruns.
-    bool extended = false;
-    for (const CellId reg : frontier_regs_) {
-      if (reg_active_[reg.value()] != 0) continue;
-      const double v = register_departure(netlist, reg);
-      const std::size_t c = class_of(windows_[reg.value()]);
-      if (v != arr_max_[c][netlist.cell(reg).out.value()]) {
-        activate_reg(reg);
-        extended = true;
-      }
-    }
-    if (!extended) {
-      // Settled. Refresh the slack caches of every register that saw a
-      // cone net (a superset of those whose arrivals changed), the dirty
-      // POs, and the report scan. `iterations` is the cone's pass count —
-      // a diagnostic, deliberately outside the identity contract.
-      report_.iterations = iterations;
-      for (const CellId id : frontier_regs_) {
-        compute_register_checks(netlist, id);
-      }
-      for (const CellId id : active_regs_) {
-        compute_register_checks(netlist, id);
-      }
-      for (const CellId id : touched.cells) {
-        if (id.value() < is_reg_.size() && is_reg_[id.value()] != 0 &&
-            reg_frontier_[id.value()] == 0 && reg_active_[id.value()] == 0) {
-          compute_register_checks(netlist, id);
-        }
-      }
-      if (options_.output_setup_ps >= 0) {
-        for (const CellId po : dirty_pos_) {
-          po_slack_[po.value()] = compute_po_slack(netlist, po);
-        }
-      }
-      build_report(netlist);
-      rows_dirty_ = true;
-      cleanup();
-      return true;
-    }
-  }
-  cleanup();
-  return false;
 }
 
 const std::vector<std::pair<CellId, double>>& SmoEngine::setup_rows() const {
@@ -814,24 +457,18 @@ IncrementalTimer::IncrementalTimer(const CellLibrary& library,
                                    bool track_borrow)
     : engine_(library, options, track_borrow) {}
 
-const TimingReport& IncrementalTimer::analyze(const Netlist& netlist) {
-  cursor_ = netlist.journal_cursor();
-  engine_.run_full(netlist);
-  return engine_.report();
-}
-
-const TimingReport& IncrementalTimer::update(const Netlist& netlist,
-                                             const TouchedSet& touched) {
-  engine_.run_update(netlist, touched);
-  return engine_.report();
-}
-
 const TimingReport& IncrementalTimer::sync(const Netlist& netlist) {
-  if (!netlist.journal_enabled() || !engine_.primed()) {
-    return analyze(netlist);
+  if (netlist_ == &netlist && edits_ == netlist.edits() &&
+      clocks_ == netlist.clocks()) {
+    ++stats_.skipped_runs;
+  } else {
+    netlist_ = nullptr;  // a run that throws must leave no cache behind
+    engine_.run_full(netlist);
+    netlist_ = &netlist;
+    edits_ = netlist.edits();
+    clocks_ = netlist.clocks();
+    ++stats_.full_runs;
   }
-  const TouchedSet touched = netlist.take_touched(cursor_);
-  engine_.run_update(netlist, touched);
   return engine_.report();
 }
 

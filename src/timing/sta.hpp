@@ -128,10 +128,9 @@ struct HoldRepairResult {
 /// padding more than the latch designs — one source of their combinational
 /// power gap. Every pass syncs one IncrementalTimer session: `timer` when
 /// given (its own options then govern the passes), else a local one on
-/// `options`. When the netlist journals its edits, each pass after the
-/// first re-times only the cones of the buffers the previous pass
-/// inserted; otherwise every pass is a full analysis. The inserted buffers
-/// are the same either way.
+/// `options`. Each pass is a full analysis; a caller that hands in its
+/// own timer gets the last pass's report back from a later sync() without
+/// another run when the last pass inserted nothing.
 HoldRepairResult repair_hold(Netlist& netlist, const CellLibrary& library,
                              const TimingOptions& options = {},
                              int max_passes = 10,

@@ -16,7 +16,6 @@
 
 #include "src/circuits/workload.hpp"
 #include "src/flow/matrix.hpp"
-#include "src/timing/incremental.hpp"
 #include "src/util/executor.hpp"
 #include "src/util/log.hpp"
 
@@ -606,33 +605,6 @@ TEST(StepTimes, CheckpointsSplitTheFlowIntoStages) {
   }
   EXPECT_GE(t.total_s(), kSleepS * static_cast<double>(stages.size()));
   EXPECT_LE(t.total_s(), wall_s);
-}
-
-// FlowOptions::incremental_timing only turns the netlist journal on: the
-// flow's one IncrementalTimer session then patches the edited cones
-// instead of re-running full analyses, and no result may change.
-TEST(RunFlow, IncrementalTimingChangesNoResult) {
-  for (const char* name : {"s1196", "s5378", "DES3"}) {
-    const circuits::Benchmark bench = circuits::make_benchmark(name);
-    const Stimulus stim = circuits::make_stimulus(
-        bench, circuits::Workload::kPaperDefault, 32, 7);
-    for (const DesignStyle style :
-         {DesignStyle::kMasterSlave, DesignStyle::kThreePhase,
-          DesignStyle::kPulsedLatch}) {
-      SCOPED_TRACE(std::string(name) + " " +
-                   std::string(flow::style_name(style)));
-      FlowOptions options;
-      const FlowResult on = run_flow(bench, style, stim, options);
-      options.incremental_timing = false;
-      const FlowResult off = run_flow(bench, style, stim, options);
-      EXPECT_EQ(timing_identity(on.timing), timing_identity(off.timing));
-      EXPECT_EQ(on.hold.buffers_inserted, off.hold.buffers_inserted);
-      EXPECT_EQ(on.hold.passes, off.hold.passes);
-      const flow::StreamDiff diff = flow::equivalent(on, off);
-      EXPECT_TRUE(diff.equal()) << diff.to_string();
-      EXPECT_EQ(on.power.total_mw(), off.power.total_mw());
-    }
-  }
 }
 
 TEST(FlowOptions, NamedConstructorPresets) {

@@ -143,32 +143,6 @@ Netlist reg_chain() {
   return nl;
 }
 
-TEST(Netlist, JournalDrainsSortedDedupedAndClears) {
-  Netlist nl("j");
-  const CellId clk = nl.add_input("clk");
-  nl.set_clock_root(clk, Phase::kClk);
-  const CellId a = nl.add_input("a");
-  nl.enable_journal();
-  JournalCursor cursor = nl.journal_cursor();
-  EXPECT_TRUE(nl.take_touched(cursor).empty());
-
-  const CellId ff = nl.add_gate(CellKind::kDff, "ff",
-                                {nl.cell(a).out, nl.cell(clk).out},
-                                Phase::kClk);
-  nl.replace_input(ff, 0, nl.cell(a).out);  // re-touches the same ids
-  const TouchedSet touched = nl.take_touched(cursor);
-  EXPECT_FALSE(touched.empty());
-  for (std::size_t i = 1; i < touched.cells.size(); ++i) {
-    EXPECT_LT(touched.cells[i - 1].value(), touched.cells[i].value());
-  }
-  for (std::size_t i = 1; i < touched.nets.size(); ++i) {
-    EXPECT_LT(touched.nets[i - 1].value(), touched.nets[i].value());
-  }
-  // Draining clears the recording; journaling stays enabled.
-  EXPECT_TRUE(nl.take_touched(cursor).empty());
-  EXPECT_TRUE(nl.journal_enabled());
-}
-
 TEST(Netlist, ResetMetadataValidatesAndRoundTrips) {
   Netlist nl("r");
   const CellId clk = nl.add_input("clk");

@@ -1,7 +1,8 @@
 // IncrementalTimer session contract: byte-identical reports vs fresh STA
 // under randomized edit sequences on every conversion backend's output,
-// journal-disabled fallback, session statistics, and the structured
-// min-period search (oracle fast path included).
+// after every Netlist mutator and a clock-plan edit, a cached report only
+// for an unedited netlist, and the structured min-period search (oracle
+// fast path included).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +15,7 @@
 #include "src/phase/schedule.hpp"
 #include "src/timing/incremental.hpp"
 #include "src/timing/sta.hpp"
+#include "src/util/log.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/strcat.hpp"
 
@@ -49,14 +51,15 @@ CellKind retype_of(CellKind kind) {
 }
 
 /// One randomized structural edit; returns a description for failure
-/// messages. Edits mirror the hot callers: buffer insertion (repair_hold),
-/// gate retype (logic restructuring), and clock-plan rescale (the
-/// journal-bypassing fallback path).
+/// messages ("no-op" when it found nothing to edit). Edits mirror the hot
+/// callers: buffer insertion (repair_hold), gate retype (logic
+/// restructuring), and clock-plan rescale (an edit the netlist's edit
+/// counter does not see).
 std::string random_edit(Netlist& nl, Rng& rng, int step) {
   const int kind = static_cast<int>(rng.range(0, 2));
   if (kind == 2) {
-    // Clock-plan change: clocks() hands out a mutable reference, so this
-    // bypasses the journal and must hit the session's full-pass fallback.
+    // Clock-plan change: clocks() hands out a mutable reference, so the
+    // edit counter misses it and the session's ClockSpec compare must not.
     ClockSpec spec = nl.clocks();
     const std::int64_t p = spec.period_ps + 20;
     for (PhaseWaveform& w : spec.phases) {
@@ -98,31 +101,31 @@ class IncrementalBackend
 
 TEST_P(IncrementalBackend, RandomizedEditsMatchFreshSta) {
   Netlist nl = converted(GetParam());
-  nl.enable_journal();
   TimingOptions topt;
   topt.hold_uncertainty_ps = 60;
   IncrementalTimer timer(lib(), topt);
-  EXPECT_EQ(timing_identity(timer.analyze(nl)),
+  EXPECT_EQ(timing_identity(timer.sync(nl)),
             timing_identity(check_timing(nl, lib(), topt)));
 
   Rng rng(0x5EED + static_cast<std::uint64_t>(GetParam()));
+  int edits = 0;
   for (int step = 0; step < 12; ++step) {
     const std::string what = random_edit(nl, rng, step);
+    if (what != "no-op") ++edits;
     ASSERT_EQ(timing_identity(timer.sync(nl)),
               timing_identity(check_timing(nl, lib(), topt)))
         << style_name(GetParam()) << " step " << step << ": " << what;
   }
-  const SmoEngine::Stats& stats = timer.stats();
-  EXPECT_GT(stats.incremental_runs, 0) << "no edit took the patch path";
-  EXPECT_GT(stats.full_runs, 1) << "clock rescales must fall back";
+  // Every edit, clock rescales included, runs the engine again.
+  EXPECT_EQ(timer.stats().full_runs, 1 + edits);
+  EXPECT_EQ(timer.stats().skipped_runs, 12 - edits);
 }
 
 TEST_P(IncrementalBackend, BorrowRecordsMatchFreshProfile) {
   Netlist nl = converted(GetParam());
-  nl.enable_journal();
   TimingOptions topt;
   IncrementalTimer timer(lib(), topt, /*track_borrow=*/true);
-  timer.analyze(nl);
+  timer.sync(nl);
   Rng rng(0xB0B + static_cast<std::uint64_t>(GetParam()));
   for (int step = 0; step < 6; ++step) random_edit(nl, rng, step);
   timer.sync(nl);
@@ -146,40 +149,139 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-TEST(IncrementalTimer, JournalDisabledFallsBackToFullRuns) {
-  // Raw benchmark netlist — run_flow outputs come back journal-enabled,
-  // so the journal-off path needs a netlist that never saw the flow.
-  // Every sync() must degrade to a fresh analysis and still produce the
-  // identical report.
-  Netlist nl = circuits::make_benchmark("s1196").netlist;
-  ASSERT_FALSE(nl.journal_enabled());
-  TimingOptions topt;
-  IncrementalTimer timer(lib(), topt);
-  timer.analyze(nl);
-  Rng rng(3);
-  for (int step = 0; step < 4; ++step) {
-    random_edit(nl, rng, step);
-    ASSERT_EQ(timing_identity(timer.sync(nl)),
-              timing_identity(check_timing(nl, lib(), topt)))
-        << "step " << step;
-  }
-  EXPECT_EQ(timer.stats().incremental_runs, 0);
-  EXPECT_GE(timer.stats().full_runs, 5);  // analyze + one per sync
-}
-
 TEST(IncrementalTimer, PhaseScheduleMoveFallsBack) {
   Netlist nl = converted(flow::DesignStyle::kThreePhase);
-  nl.enable_journal();
   TimingOptions topt;
   IncrementalTimer timer(lib(), topt);
-  timer.analyze(nl);
+  timer.sync(nl);
   // Moving the closing edges rewrites every transparency window — the
-  // session must detect the clock-plan change and run full, not patch.
+  // session must detect the clock-plan change and run again.
   const std::int64_t tc = nl.clocks().period_ps;
   apply_phase_schedule(nl, tc / 4, 5 * tc / 8);
   EXPECT_EQ(timing_identity(timer.sync(nl)),
             timing_identity(check_timing(nl, lib(), topt)));
-  EXPECT_EQ(timer.stats().incremental_runs, 0);
+  EXPECT_EQ(timer.stats().full_runs, 2);
+}
+
+TEST(IncrementalTimer, CopyWithEqualEditCountIsAnalyzedAfresh) {
+  // A copy carries its original's edit count, so after one edit each the
+  // two netlists differ at the same count: the session must not serve the
+  // report of the one it saw last.
+  Netlist a = converted(flow::DesignStyle::kFlipFlop);
+  Netlist b = a;
+  TimingOptions topt;
+  IncrementalTimer timer(lib(), topt);
+  CellId gate;
+  for (const CellId id : a.live_cells()) {
+    if (retype_of(a.cell(id).kind) != a.cell(id).kind) {
+      gate = id;
+      break;
+    }
+  }
+  ASSERT_TRUE(gate.valid());
+  a.morph_cell(gate, retype_of(a.cell(gate).kind));
+  b.add_net("b_only");
+  ASSERT_EQ(a.edits(), b.edits());
+  EXPECT_EQ(timing_identity(timer.sync(a)),
+            timing_identity(check_timing(a, lib(), topt)));
+  EXPECT_EQ(timing_identity(timer.sync(b)),
+            timing_identity(check_timing(b, lib(), topt)));
+  EXPECT_EQ(timer.stats().full_runs, 2);
+}
+
+TEST(IncrementalTimer, RunThatThrowsLeavesNoCache) {
+  Netlist nl = converted(flow::DesignStyle::kThreePhase);
+  TimingOptions topt;
+  IncrementalTimer timer(lib(), topt, /*track_borrow=*/true);
+  timer.sync(nl);
+  // Dropping p3's waveform makes the run throw part way through its
+  // window pass; with the plan restored the session must run again.
+  const ClockSpec plan = nl.clocks();
+  nl.clocks().phases.pop_back();
+  EXPECT_THROW(timer.sync(nl), Error);
+  nl.clocks() = plan;
+  timer.sync(nl);
+  EXPECT_EQ(timer.stats().full_runs, 2);
+  EXPECT_EQ(borrow_identity(timer.borrow_records(nl)),
+            borrow_identity(borrow_profile(nl, lib(), topt)));
+}
+
+TEST(IncrementalTimer, EveryMutatorInvalidatesTheCachedReport) {
+  Netlist nl = converted(flow::DesignStyle::kThreePhase);
+  TimingOptions topt;
+  IncrementalTimer timer(lib(), topt);
+  timer.sync(nl);
+  // After each edit the session must run again and match a fresh
+  // analysis; a second sync with no edit in between must be served from
+  // cache.
+  const auto check = [&](const char* what) {
+    const int runs = timer.stats().full_runs;
+    EXPECT_EQ(timing_identity(timer.sync(nl)),
+              timing_identity(check_timing(nl, lib(), topt)))
+        << what;
+    EXPECT_EQ(timer.stats().full_runs, runs + 1) << what;
+    const int skips = timer.stats().skipped_runs;
+    timer.sync(nl);
+    EXPECT_EQ(timer.stats().full_runs, runs + 1) << what << " (no edit)";
+    EXPECT_EQ(timer.stats().skipped_runs, skips + 1) << what;
+  };
+  // A p1 latch: the edits below rewire its D pin and move it to p3.
+  CellId reg;
+  for (const CellId id : nl.registers()) {
+    if (nl.cell(id).kind == CellKind::kLatchH &&
+        nl.cell(id).phase == Phase::kP1) {
+      reg = id;
+      break;
+    }
+  }
+  ASSERT_TRUE(reg.valid());
+
+  const NetId spare = nl.add_net("t_spare");
+  check("add_net");
+  const CellId in = nl.add_input("t_in");
+  check("add_input");
+  const NetId in_net = nl.cell(in).out;
+  const CellId buf = nl.add_gate(CellKind::kBuf, "t_buf", {in_net});
+  check("add_gate");
+  const NetId buf_net = nl.cell(buf).out;
+  const CellId inv = nl.add_cell(CellKind::kInv, "t_inv", {buf_net}, spare);
+  check("add_cell");
+  const CellId po = nl.add_output("t_out", spare);
+  check("add_output");
+  nl.replace_input(reg, 0, spare);
+  check("replace_input");
+  nl.transfer_fanouts(spare, buf_net);
+  check("transfer_fanouts");
+  nl.morph_cell(buf, CellKind::kInv);
+  check("morph_cell");
+  nl.morph_cell(inv, CellKind::kAnd2, {buf_net, in_net});
+  check("morph_cell with inputs");
+  nl.set_phase(reg, Phase::kP3);
+  check("set_phase");
+  nl.set_init(reg, nl.cell(reg).init == 0);
+  check("set_init");
+  const CellId rst = nl.add_input("t_rst");
+  check("add_input (reset)");
+  nl.declare_reset_root(rst, /*active_low=*/true, /*release_order=*/1);
+  check("declare_reset_root");
+  nl.set_reset(reg, nl.cell(rst).out);
+  check("set_reset");
+  nl.mark_clock_net(in_net);
+  check("mark_clock_net");
+  const CellId clk = nl.add_input("t_clk");
+  check("add_input (clock)");
+  nl.set_clock_root(clk, Phase::kP2);
+  check("set_clock_root");
+  nl.remove_cell(po);
+  check("remove_cell (output)");
+  nl.remove_cell(inv);
+  check("remove_cell");
+  nl.remove_net(spare);
+  check("remove_net");
+  ClockSpec spec = nl.clocks();
+  spec.period_ps += 30;
+  nl.clocks() = spec;
+  check("clocks()");
 }
 
 /// Brute-force reference: smallest period in [lo, hi] (step granularity,
