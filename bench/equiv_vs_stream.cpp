@@ -20,7 +20,8 @@
 // observes: SEC's detection rate is a gate, not just a printed row.
 //
 // --out FILE writes every row as JSON: detection counts and wall time per
-// method, plus SEC's summed SAT calls and conflicts.
+// method, plus SEC's summed SAT calls, conflicts, decisions and
+// propagations.
 //
 //   $ ./bench/equiv_vs_stream [circuit] [mutations] [--lanes L] [--out FILE]
 #include <cstdio>
@@ -111,7 +112,9 @@ struct Row {
   std::size_t beyond = 0;  // confirmed divergences past the truth horizon
   std::size_t unknown = 0;
   double wall_s = 0;
-  std::int64_t sat_calls = 0, sat_conflicts = 0;  // SEC only
+  // SEC only, summed over every proof.
+  std::int64_t sat_calls = 0, sat_conflicts = 0;
+  std::int64_t sat_decisions = 0, sat_propagations = 0;
 };
 
 bool write_json(const std::string& path, const std::string& circuit,
@@ -137,6 +140,8 @@ bool write_json(const std::string& path, const std::string& circuit,
       w.key("unknown").value(static_cast<std::uint64_t>(row.unknown));
       w.key("sat_calls").value(row.sat_calls);
       w.key("sat_conflicts").value(row.sat_conflicts);
+      w.key("sat_decisions").value(row.sat_decisions);
+      w.key("sat_propagations").value(row.sat_propagations);
     }
     w.end_object();
   }
@@ -306,6 +311,8 @@ int main(int argc, char** argv) {
     sec.beyond += flagged && !is_breaking[k];
     sec.sat_calls += r.stats.sat_calls;
     sec.sat_conflicts += r.stats.sat_conflicts;
+    sec.sat_decisions += r.stats.sat_decisions;
+    sec.sat_propagations += r.stats.sat_propagations;
   }
   sec.wall_s = watch.seconds();
   print_row(sec);

@@ -224,12 +224,15 @@ int main(int argc, char** argv) {
       for (const StageCheck& stage : r.equiv.stages) {
         const equiv::SecStats& sec = stage.result.stats;
         std::printf("  SEC %-12s %s (%.2f s, sat_calls %lld, sat_conflicts "
-                    "%lld, bmc_depth %d)%s%s\n",
+                    "%lld, sat_decisions %lld, sat_propagations %lld, "
+                    "bmc_depth %d)%s%s\n",
                     stage.stage.c_str(),
                     std::string(equiv::status_name(stage.result.status))
                         .c_str(),
                     stage.seconds, static_cast<long long>(sec.sat_calls),
-                    static_cast<long long>(sec.sat_conflicts), sec.bmc_depth,
+                    static_cast<long long>(sec.sat_conflicts),
+                    static_cast<long long>(sec.sat_decisions),
+                    static_cast<long long>(sec.sat_propagations), sec.bmc_depth,
                     stage.result.detail.empty() ? "" : " — ",
                     stage.result.detail.c_str());
       }

@@ -229,6 +229,7 @@ SatResult SatSolver::solve(std::span<const int> assumptions) {
       backtrack(0);
       return SatResult::kSat;
     }
+    ++num_decisions;
     new_decision_level();
     enqueue(polarity_[v] == 1 ? pos_lit(v) : neg_lit(v), -1);
   }
@@ -242,8 +243,8 @@ int SatSolver::pick_branch_var() {
   return -1;
 }
 
-void SatSolver::bump(int var) {
-  activity_[var] += var_inc_;
+void SatSolver::bump(int var, double weight) {
+  activity_[var] += var_inc_ * weight;
   if (activity_[var] > 1e100) {
     for (double& a : activity_) a *= 1e-100;
     var_inc_ *= 1e-100;

@@ -7,7 +7,9 @@
 //     a blocker literal so an already-satisfied clause is skipped without
 //     loading it,
 //   - first-UIP conflict analysis with clause learning,
-//   - VSIDS branching with phase saving,
+//   - VSIDS branching with phase saving, plus a weighted activity bump the
+//     caller applies before a query (the SEC engine raises the top levels of
+//     each miter's cone, so the search branches inside it first),
 //   - geometric restarts,
 //   - solving under assumptions (the SEC engine activates each per-query
 //     miter through an assumption literal and retires it with a unit
@@ -50,9 +52,13 @@ class SatSolver {
   /// Conflict budget per solve() call; 0 disables the limit.
   void set_conflict_limit(std::int64_t limit) { conflict_limit_ = limit; }
 
+  /// Raises a variable's VSIDS activity by `weight` bump increments.
+  void bump(int var, double weight = 1.0);
+
   // Cumulative statistics (exposed in SecResult::stats).
   std::int64_t num_solve_calls = 0;
   std::int64_t num_conflicts = 0;
+  std::int64_t num_decisions = 0;
   std::int64_t num_propagations = 0;
 
  private:
@@ -77,7 +83,6 @@ class SatSolver {
   void analyze(int confl, std::vector<int>& learnt, int& bt_level);
   void backtrack(int level);
   int pick_branch_var();
-  void bump(int var);
   void decay() { var_inc_ /= 0.95; }
   void heap_insert(int var);
   void heap_percolate_up(int pos);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <initializer_list>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -544,6 +545,7 @@ class AigSat {
   SatResult differ(Lit a, Lit b) {
     const int sa = sat_lit(a);
     const int sb = sat_lit(b);
+    focus({a, b});
     const int d = SatSolver::pos_lit(sat_.new_var());
     sat_.add_clause({SatSolver::negate(d), sa, sb});
     sat_.add_clause({SatSolver::negate(d), SatSolver::negate(sa),
@@ -557,6 +559,7 @@ class AigSat {
   /// Can `l` be true?
   SatResult satisfiable(Lit l) {
     const std::array<int, 1> assume{sat_lit(l)};
+    focus({l});
     return sat_.solve(assume);
   }
 
@@ -598,6 +601,38 @@ class AigSat {
     return lit_neg(l) ? SatSolver::neg_lit(v) : SatSolver::pos_lit(v);
   }
 
+  /// Cone-first branching, after the activity factors of ABC's fraiging:
+  /// bumps the encoded cone of the query's roots, but only its top 30% of
+  /// AIG levels, weighted from 1 at that floor to 11 at the roots. Without
+  /// it the solver first decides variables that earlier queries left
+  /// active; bumping the whole cone evenly was measured slower.
+  void focus(std::initializer_list<Lit> roots) {
+    for (auto n = static_cast<std::uint32_t>(level_.size());
+         n < aig_.num_nodes(); ++n) {
+      level_.push_back(aig_.is_input(n)
+                           ? 0
+                           : 1 + std::max(level_[lit_node(aig_.fanin0(n))],
+                                          level_[lit_node(aig_.fanin1(n))]));
+    }
+    std::uint32_t top = 0;
+    for (const Lit r : roots) top = std::max(top, level_[lit_node(r)]);
+    const std::uint32_t floor = top * 7 / 10;
+    if (top == floor) return;
+    mark_.resize(level_.size(), 0);
+    ++stamp_;
+    std::vector<std::uint32_t> stack;
+    for (const Lit r : roots) stack.push_back(lit_node(r));
+    while (!stack.empty()) {
+      const std::uint32_t n = stack.back();
+      stack.pop_back();
+      if (level_[n] <= floor || mark_[n] == stamp_) continue;
+      mark_[n] = stamp_;
+      sat_.bump(var_of_[n], 1.0 + 10.0 * (level_[n] - floor) / (top - floor));
+      stack.push_back(lit_node(aig_.fanin0(n)));
+      stack.push_back(lit_node(aig_.fanin1(n)));
+    }
+  }
+
   void encode(std::uint32_t root) {
     if (var_of_.size() < aig_.num_nodes()) var_of_.resize(aig_.num_nodes(), -1);
     std::vector<std::uint32_t> stack{root};
@@ -637,6 +672,9 @@ class AigSat {
   const Aig& aig_;
   SatSolver sat_;
   std::vector<int> var_of_;  // per node; -1 = not yet encoded
+  std::vector<std::uint32_t> level_{0};  // per node: AIG level, inputs 0
+  std::vector<std::uint32_t> mark_;      // per node: last focus() visit
+  std::uint32_t stamp_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -789,7 +827,7 @@ class Checker {
           break;  // fall through to BMC
       }
     }
-    if (bmc(res)) return finish(res);
+    if (bmc(res, fixpoint)) return finish(res);
     res.status = SecStatus::kUnknown;
     if (res.detail.empty()) {
       res.detail = fixpoint
@@ -845,6 +883,8 @@ class Checker {
   static void count_sat_work(const AigSat& s, SecStats& stats) {
     stats.sat_calls += s.solver().num_solve_calls;
     stats.sat_conflicts += s.solver().num_conflicts;
+    stats.sat_decisions += s.solver().num_decisions;
+    stats.sat_propagations += s.solver().num_propagations;
   }
 
   static std::uint64_t broadcast(bool b) { return b ? ~0ull : 0ull; }
@@ -1106,8 +1146,12 @@ class Checker {
 
   /// Bounded model check from the concrete reset state — the falsification
   /// backstop when induction is inconclusive. Constant folding usually kills
-  /// the miter for the first frames without any SAT call.
-  bool bmc(SecResult& res) {
+  /// the miter for the first frames without any SAT call. A fixpoint's
+  /// classes hold on every reachable state (po_check relies on that too), so
+  /// each frame is unrolled with every class member replaced by its
+  /// representative, as induction() does for frame 2; without a fixpoint
+  /// nothing is replaced.
+  bool bmc(SecResult& res, bool fixpoint) {
     std::vector<std::vector<Lit>> frame_pi;
     std::vector<Lit> map(num_in_);
     for (std::size_t s = 0; s < reset_.size(); ++s) {
@@ -1121,7 +1165,19 @@ class Checker {
         map[i] = prev[i];
         map[num_pi_ + i] = frame_pi[f][i];
       }
-      const std::vector<Lit> fm = aig_.compose(n_machine_, map);
+      std::vector<Lit> fm(n_machine_, kLitFalse);
+      for (std::uint32_t n = 1; n < n_machine_; ++n) {
+        fm[n] = aig_.is_input(n)
+                    ? map[aig_.input_index(n)]
+                    : aig_.land(apply_map(fm, aig_.fanin0(n)),
+                                apply_map(fm, aig_.fanin1(n)));
+        const std::uint32_t g = fixpoint ? cls_.class_of(n) : kInvalidIndex;
+        if (g == kInvalidIndex) continue;
+        const Lit rep = cls_.groups()[g][0];
+        if (lit_node(rep) != n) {
+          fm[n] = lit_xor(apply_map(fm, rep), lit_neg(cls_.lit_of(n)));
+        }
+      }
       Lit miter = kLitFalse;
       for (std::size_t k = 0; k < ma_.po.size(); ++k) {
         miter = aig_.lor(miter, aig_.lxor(apply_map(fm, ma_.po[k]),

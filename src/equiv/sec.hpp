@@ -28,10 +28,13 @@
 //     clauses; the reset-frame queries (base filter, frame-0 output check,
 //     BMC) share a solver of their own. Refuted candidates are split by
 //     re-simulating the SAT witness and the round repeats to a fixpoint.
+//     Before each query the solver's activity is raised on the top levels
+//     of the query's own cone, so it branches there first.
 //  4. Output equality is checked under the proven invariants; if that is
 //     inconclusive, bounded model checking from reset searches for a real
-//     divergence. Any falsification is replayed in simulation and
-//     ddmin-minimized (cex.hpp) before being reported.
+//     divergence, unrolling every frame under those invariants. Any
+//     falsification is replayed in simulation and ddmin-minimized (cex.hpp)
+//     before being reported.
 #pragma once
 
 #include <cstdint>
@@ -74,8 +77,11 @@ struct SecStats {
   std::size_t revised_state_bits = 0;
   std::size_t candidate_pairs = 0;   // after base-case filtering
   std::size_t proven_structural = 0; // obligations discharged by hashing
-  std::int64_t sat_calls = 0;  // summed over every solver of the proof
+  // SAT work, summed over every solver of the proof.
+  std::int64_t sat_calls = 0;
   std::int64_t sat_conflicts = 0;
+  std::int64_t sat_decisions = 0;
+  std::int64_t sat_propagations = 0;  // literals propagated
   int rounds = 0;       // induction rounds to fixpoint
   int bmc_depth = 0;    // frames actually unrolled during falsification
 };
