@@ -1,7 +1,11 @@
 #include "src/circuits/benchmark.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <mutex>
+#include <optional>
 
+#include "src/netlist/hash.hpp"
 #include "src/util/strcat.hpp"
 
 namespace tp::circuits {
@@ -37,6 +41,14 @@ constexpr Entry kEntries[] = {
     {"ArmM0", "CPU", 3000, "hello world"},
 };
 
+const Entry& find_entry(const std::string& name) {
+  const auto it =
+      std::find_if(std::begin(kEntries), std::end(kEntries),
+                   [&](const Entry& e) { return name == e.name; });
+  require(it != std::end(kEntries), cat("unknown benchmark ", name));
+  return *it;
+}
+
 }  // namespace
 
 const std::vector<std::string>& benchmark_names() {
@@ -49,23 +61,35 @@ const std::vector<std::string>& benchmark_names() {
 }
 
 Benchmark make_benchmark(const std::string& name) {
-  const auto it =
-      std::find_if(std::begin(kEntries), std::end(kEntries),
-                   [&](const Entry& e) { return name == e.name; });
-  require(it != std::end(kEntries), cat("unknown benchmark ", name));
-  Benchmark benchmark{.name = it->name,
-                      .suite = it->suite,
-                      .netlist = Netlist(it->name),
-                      .period_ps = it->period_ps,
-                      .paper_workload = it->workload};
+  const Entry& entry = find_entry(name);
+  Benchmark benchmark{.name = entry.name,
+                      .suite = entry.suite,
+                      .netlist = Netlist(entry.name),
+                      .period_ps = entry.period_ps,
+                      .paper_workload = entry.workload};
   if (benchmark.suite == "ISCAS") {
-    benchmark.netlist = make_iscas(name, it->period_ps);
+    benchmark.netlist = make_iscas(name, entry.period_ps);
   } else if (benchmark.suite == "CEP") {
-    benchmark.netlist = make_cep(name, it->period_ps);
+    benchmark.netlist = make_cep(name, entry.period_ps);
   } else {
-    benchmark.netlist = make_cpu(name, it->period_ps);
+    benchmark.netlist = make_cpu(name, entry.period_ps);
   }
   return benchmark;
+}
+
+const StoredBenchmark& stored_benchmark(const std::string& name) {
+  struct Slot {
+    std::once_flag built;
+    std::optional<StoredBenchmark> stored;
+  };
+  static Slot slots[std::size(kEntries)];
+  Slot& slot = slots[&find_entry(name) - kEntries];
+  std::call_once(slot.built, [&] {
+    Benchmark benchmark = make_benchmark(name);
+    const std::uint64_t hash = netlist_hash(benchmark.netlist);
+    slot.stored.emplace(StoredBenchmark{std::move(benchmark), hash});
+  });
+  return *slot.stored;
 }
 
 }  // namespace tp::circuits

@@ -51,9 +51,8 @@ Bus Builder::ff_bank_en(const std::string& prefix, const Bus& d,
   return q;
 }
 
-NetId Builder::gate(CellKind kind, const std::string& name,
-                    std::vector<NetId> ins) {
-  return nl_.cell(nl_.add_gate(kind, name, std::move(ins))).out;
+NetId Builder::gate(CellKind kind, const std::string& name, PinList ins) {
+  return nl_.cell(nl_.add_gate(kind, name, ins)).out;
 }
 
 Bus Builder::bitwise(CellKind kind2, const std::string& prefix, const Bus& a,
@@ -186,13 +185,13 @@ Bus Builder::mix_layer(const std::string& prefix, const Bus& a,
   const auto n = static_cast<int>(a.size());
   for (int i = 0; i < n; ++i) {
     const CellKind kind = kinds[rng_.below(std::size(kinds))];
-    std::vector<NetId> ins;
+    PinList ins;
     for (int p = 0; p < num_inputs(kind); ++p) {
       const int offset = static_cast<int>(rng_.below(
           static_cast<std::uint64_t>(fanin_window)));
       ins.push_back(a[static_cast<std::size_t>((i + offset) % n)]);
     }
-    out.push_back(gate(kind, cat(prefix, i), std::move(ins)));
+    out.push_back(gate(kind, cat(prefix, i), ins));
   }
   return out;
 }
@@ -208,7 +207,7 @@ Bus Builder::random_cloud(const std::string& prefix, const Bus& sources,
   std::vector<int> depth(sources.size(), 0);
   for (int g = 0; g < num_gates; ++g) {
     const CellKind kind = kinds[rng_.below(std::size(kinds))];
-    std::vector<NetId> ins;
+    PinList ins;
     int d = 0;
     for (int p = 0; p < num_inputs(kind); ++p) {
       // Bias toward recent nets for depth, but respect the depth bound by
@@ -221,7 +220,7 @@ Bus Builder::random_cloud(const std::string& prefix, const Bus& sources,
       ins.push_back(all[pick]);
       d = std::max(d, depth[pick]);
     }
-    all.push_back(gate(kind, cat(prefix, g), std::move(ins)));
+    all.push_back(gate(kind, cat(prefix, g), ins));
     depth.push_back(d + 1);
   }
   const int take = std::min<int>(outputs, static_cast<int>(all.size()));

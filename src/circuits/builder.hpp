@@ -39,7 +39,7 @@ class Builder {
   /// Enabled FF bank (kDffEn, lowered later by clock-gating inference).
   Bus ff_bank_en(const std::string& prefix, const Bus& d, NetId enable);
 
-  NetId gate(CellKind kind, const std::string& name, std::vector<NetId> ins);
+  NetId gate(CellKind kind, const std::string& name, PinList ins);
 
   /// Bitwise ops over equal-width buses.
   Bus bitwise(CellKind kind2, const std::string& prefix, const Bus& a,

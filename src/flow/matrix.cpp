@@ -44,14 +44,15 @@ std::vector<MatrixTask> RunPlan::tasks() const {
 
 namespace {
 
-// What one task simulates: its benchmark and one stimulus per lane.
+// What one task simulates: its benchmark, read from the process-wide store,
+// and one stimulus per lane.
 struct Design {
-  circuits::Benchmark bench;
+  const circuits::Benchmark* bench = nullptr;
   std::vector<Stimulus> stimuli;
 };
 
 Design build_design(const RunPlan& plan, const MatrixTask& task) {
-  Design design{circuits::make_benchmark(task.benchmark), {}};
+  Design design{&circuits::stored_benchmark(task.benchmark).benchmark, {}};
   // The cycle budget is split across lanes (rounded up), each lane with its
   // own derived seed; lane 0 of a 1-lane plan is exactly the old
   // single-stimulus task.
@@ -59,15 +60,16 @@ Design build_design(const RunPlan& plan, const MatrixTask& task) {
   design.stimuli.reserve(plan.lanes);
   for (std::size_t l = 0; l < plan.lanes; ++l) {
     design.stimuli.push_back(circuits::make_stimulus(
-        design.bench, plan.workload, per_lane, lane_seed(task.seed, l)));
+        *design.bench, plan.workload, per_lane, lane_seed(task.seed, l)));
   }
   return design;
 }
 
-// One benchmark's design within a wave: built by the first of its tasks to
-// start and shared read-only by the rest (run_flow() copies the netlist it
-// converts). A build error is kept and rethrown to every task of the
-// benchmark, so each one reports it as if it had built the design itself.
+// One benchmark's stimuli within a wave: built by the first of its tasks to
+// start and shared read-only by the rest, like the stored netlist (run_flow()
+// copies the netlist it converts). A build error is kept and rethrown to
+// every task of the benchmark, so each one reports it as if it had built the
+// design itself.
 class DesignSlot {
  public:
   const Design& get(const RunPlan& plan, const MatrixTask& task) {
@@ -104,7 +106,7 @@ MatrixResult run_in_slot(const RunPlan& plan, const MatrixTask& task,
       throw Error("canceled before start");
     }
     const Design& design = slot.get(plan, task);
-    out.result = run_flow(design.bench, task.style, design.stimuli,
+    out.result = run_flow(*design.bench, task.style, design.stimuli,
                           plan.options);
   } catch (const std::exception& e) {
     out.error = cat("task ", task.index, " (", task.benchmark, "/",
@@ -165,7 +167,7 @@ std::vector<std::vector<MatrixResult>> run_waves(std::vector<Wave>& waves,
 }  // namespace
 
 MatrixResult run_task(const RunPlan& plan, const MatrixTask& task) {
-  DesignSlot own;  // a lone task shares its design with nobody
+  DesignSlot own;  // a lone task shares its stimuli with nobody
   return run_in_slot(plan, task, own);
 }
 

@@ -8,11 +8,13 @@
 // Executor (src/util/executor.hpp).
 //
 // A wave is flat: each cell's run_flow() runs whole on the thread that
-// picked it up, opt-in checkpoints included. Each benchmark's Benchmark and
-// Stimulus are built once per wave, by the first of its cells to start,
-// and shared read-only by all of its styles; run_flow() converts a copy.
-// So MatrixResult::seconds is the time one thread spent on one cell, and
-// the cells' times add up to at most threads x wall.
+// picked it up, opt-in checkpoints included. Each benchmark's design is
+// built once per process, by the first cell that needs it, and read from
+// the process-wide store (circuits::stored_benchmark) by every later cell
+// and wave; its Stimulus is built once per wave, by the first of its cells
+// to start. Both are shared read-only by all of its styles; run_flow()
+// converts a copy. So MatrixResult::seconds is the time one thread spent on
+// one cell, and the cells' times add up to at most threads x wall.
 //
 // Determinism contract: results are bit-identical regardless of thread
 // count or scheduling order. Each task derives its stimulus seed with
@@ -99,7 +101,7 @@ struct MatrixResult {
   MatrixTask task;
   FlowResult result;
   /// Wall-clock of this task alone, on one thread; for the task that built
-  /// its benchmark's shared design, that build included.
+  /// its benchmark's stimuli or stored design, that build included.
   double seconds = 0;
   /// Empty on success; otherwise the task's failure diagnostic, prefixed
   /// with the benchmark/style context. A failed task carries a
@@ -110,11 +112,11 @@ struct MatrixResult {
   [[nodiscard]] bool ok() const { return error.empty(); }
 };
 
-/// Runs one cell on a design it builds itself (the serve daemon's path,
-/// and the code path every wave cell shares). Exceptions thrown while
-/// building or converting are captured into MatrixResult::error with task
-/// context; only plan-level misuse (an out-of-range lane count) still
-/// throws.
+/// Runs one cell on the stored design and stimuli it builds itself (the
+/// serve daemon's path, and the code path every wave cell shares).
+/// Exceptions thrown while building or converting are captured into
+/// MatrixResult::error with task context; only plan-level misuse (an
+/// out-of-range lane count) still throws.
 MatrixResult run_task(const RunPlan& plan, const MatrixTask& task);
 
 /// Executes every task of `plan` on `executor`, one flow per task, and

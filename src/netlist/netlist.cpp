@@ -66,8 +66,8 @@ NetId Netlist::add_net(std::string name) {
   return id;
 }
 
-CellId Netlist::add_cell(CellKind kind, std::string name,
-                         std::vector<NetId> ins, NetId out, Phase phase) {
+CellId Netlist::add_cell(CellKind kind, std::string name, PinList ins,
+                         NetId out, Phase phase) {
   require(static_cast<int>(ins.size()) == num_inputs(kind),
           cat("add_cell ", name, ": wrong input count"));
   require(has_output(kind) == out.valid(),
@@ -77,7 +77,7 @@ CellId Netlist::add_cell(CellKind kind, std::string name,
   Cell cell;
   cell.kind = kind;
   cell.name = std::move(name);
-  cell.ins = std::move(ins);
+  cell.ins = ins;
   cell.out = out;
   cell.phase = phase;
   for (std::uint32_t pin = 0; pin < cell.ins.size(); ++pin) {
@@ -96,10 +96,10 @@ CellId Netlist::add_cell(CellKind kind, std::string name,
   return id;
 }
 
-CellId Netlist::add_gate(CellKind kind, std::string name,
-                         std::vector<NetId> ins, Phase phase) {
+CellId Netlist::add_gate(CellKind kind, std::string name, PinList ins,
+                         Phase phase) {
   const NetId out = add_net(name);
-  return add_cell(kind, std::move(name), std::move(ins), out, phase);
+  return add_cell(kind, std::move(name), ins, out, phase);
 }
 
 CellId Netlist::add_input(std::string name) {
@@ -171,15 +171,14 @@ void Netlist::morph_cell(CellId cell_id, CellKind kind) {
   ++edits_;
 }
 
-void Netlist::morph_cell(CellId cell_id, CellKind kind,
-                         std::vector<NetId> ins) {
+void Netlist::morph_cell(CellId cell_id, CellKind kind, PinList ins) {
   Cell& cell = cells_[cell_id.value()];
   for (std::uint32_t pin = 0; pin < cell.ins.size(); ++pin) {
     std::erase(nets_[cell.ins[pin].value()].fanouts, PinRef{cell_id, pin});
   }
   require(static_cast<int>(ins.size()) == num_inputs(kind),
           "morph_cell: wrong input count");
-  cell.ins = std::move(ins);
+  cell.ins = ins;
   cell.kind = kind;
   for (std::uint32_t pin = 0; pin < cell.ins.size(); ++pin) {
     nets_[cell.ins[pin].value()].fanouts.push_back({cell_id, pin});

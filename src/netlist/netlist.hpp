@@ -2,8 +2,10 @@
 //
 // A Netlist is a flat single-module gate-level design. Cells are typed by
 // CellKind (see cell_kind.hpp); every cell has positional input nets and at
-// most one output net. Nets record their driver and full fanout (cell, pin)
-// list so transformations can rewire in O(degree).
+// most one output net. A cell stores its input nets inline (PinList: no
+// kind has more than three inputs), so cells own no heap block for their
+// pins. Nets record their driver and full fanout (cell, pin) list so
+// transformations can rewire in O(degree).
 //
 // Clocking: clock phases are modeled explicitly. Each phase has a root net
 // driven by a kInput pseudo-cell; gated-clock logic (ICGs, clock buffers) is
@@ -11,7 +13,10 @@
 // clock-tree model, and the power engine all see the real clock network.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -72,10 +77,45 @@ struct PinRef {
   friend bool operator==(const PinRef&, const PinRef&) = default;
 };
 
+/// A cell's positional input nets, held inline. No CellKind has more than
+/// kMaxPins inputs; adding a fourth pin throws tp::Error. Reads like a
+/// small vector (size, [], iteration, ==) but never allocates.
+class PinList {
+ public:
+  static constexpr std::size_t kMaxPins = 3;
+
+  PinList() = default;
+  PinList(std::initializer_list<NetId> nets) {
+    for (const NetId net : nets) push_back(net);
+  }
+
+  void push_back(NetId net) {
+    require(size_ < kMaxPins, "PinList: a cell has at most 3 input pins");
+    nets_[size_++] = net;
+  }
+  void clear() { *this = PinList(); }
+
+  [[nodiscard]] std::size_t size() const { return size_; }
+  [[nodiscard]] bool empty() const { return size_ == 0; }
+  NetId& operator[](std::size_t pin) { return nets_[pin]; }
+  NetId operator[](std::size_t pin) const { return nets_[pin]; }
+  [[nodiscard]] NetId front() const { return nets_[0]; }
+  [[nodiscard]] const NetId* begin() const { return nets_.data(); }
+  [[nodiscard]] const NetId* end() const { return nets_.data() + size_; }
+
+  friend bool operator==(const PinList& a, const PinList& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  std::array<NetId, kMaxPins> nets_{};
+  std::uint8_t size_ = 0;
+};
+
 struct Cell {
   CellKind kind = CellKind::kBuf;
   std::string name;
-  std::vector<NetId> ins;
+  PinList ins;
   NetId out;
   /// For registers and clock cells: which phase the cell's clock pin belongs
   /// to. Kept redundantly with the clock network so that transforms can
@@ -122,11 +162,11 @@ class Netlist {
   /// Adds a cell. `ins` must match num_inputs(kind); `out` must be a valid
   /// net with no existing driver (or invalid for kOutput). Fanout lists are
   /// maintained automatically.
-  CellId add_cell(CellKind kind, std::string name, std::vector<NetId> ins,
-                  NetId out, Phase phase = Phase::kNone);
+  CellId add_cell(CellKind kind, std::string name, PinList ins, NetId out,
+                  Phase phase = Phase::kNone);
 
   /// Convenience: creates the output net "<name>" and the cell driving it.
-  CellId add_gate(CellKind kind, std::string name, std::vector<NetId> ins,
+  CellId add_gate(CellKind kind, std::string name, PinList ins,
                   Phase phase = Phase::kNone);
 
   /// Registers a primary input/output. PIs are kInput cells, POs kOutput
@@ -153,7 +193,7 @@ class Netlist {
   /// Changes a cell's kind. The new kind must have the same number of input
   /// pins unless new input nets are supplied.
   void morph_cell(CellId cell, CellKind kind);
-  void morph_cell(CellId cell, CellKind kind, std::vector<NetId> ins);
+  void morph_cell(CellId cell, CellKind kind, PinList ins);
 
   void set_phase(CellId cell, Phase phase);
   void set_init(CellId cell, bool init);

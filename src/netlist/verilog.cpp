@@ -372,16 +372,17 @@ class Parser {
       expect_punct(".");
       const std::string pin = expect(Token::kIdent).text;
       expect_punct("(");
-      connections[pin] = expect(Token::kIdent).text;
+      const bool fresh =
+          connections.emplace(pin, expect(Token::kIdent).text).second;
+      expect_that(fresh, instance, ": pin ", pin, " connected twice");
       expect_punct(")");
       if (is_punct(")")) break;
       expect_punct(",");
     }
-    expect_punct(")");
-    expect_punct(";");
 
+    // Checked at the closing parenthesis, so errors name the instance's line.
     const PinNames* pins = pin_names(kind);
-    std::vector<NetId> ins;
+    PinList ins;
     for (const char* pin : pins->inputs) {
       const auto it = connections.find(pin);
       expect_that(it != connections.end(), instance, ": missing pin ", pin);
@@ -390,8 +391,13 @@ class Parser {
     const auto out_it = connections.find(pins->output);
     expect_that(out_it != connections.end(), instance,
                 ": missing output pin ", pins->output);
-    const CellId id = netlist.add_cell(kind, instance, std::move(ins),
-                                       net(netlist, out_it->second));
+    expect_that(connections.size() == pins->inputs.size() + 1, instance,
+                ": ", type, " has ", pins->inputs.size() + 1, " pins, got ",
+                connections.size(), " connections");
+    expect_punct(")");
+    expect_punct(";");
+    const CellId id =
+        netlist.add_cell(kind, instance, ins, net(netlist, out_it->second));
     if (init) netlist.set_init(id, true);
   }
 

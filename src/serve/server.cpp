@@ -21,7 +21,6 @@
 #include <utility>
 
 #include "src/flow/serialize.hpp"
-#include "src/netlist/hash.hpp"
 #include "src/util/json.hpp"
 #include "src/util/strcat.hpp"
 
@@ -38,24 +37,21 @@ Server::Server(ServerOptions options)
 
 Server::~Server() { cache_.flush(); }
 
-std::uint64_t Server::benchmark_content_hash(const std::string& name,
-                                             std::string* error) {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = benchmark_hashes_.find(name);
-    if (it != benchmark_hashes_.end()) return it->second;
-  }
-  std::uint64_t hash = 0;
+namespace {
+
+// The cache's content address of a built-in design: the stored netlist's
+// netlist_hash(). An unknown name leaves `error` set and returns 0.
+std::uint64_t benchmark_content_hash(const std::string& name,
+                                     std::string* error) {
   try {
-    hash = netlist_hash(circuits::make_benchmark(name).netlist);
+    return circuits::stored_benchmark(name).content_hash;
   } catch (const std::exception& e) {
-    if (error != nullptr) *error = e.what();
+    *error = e.what();
     return 0;
   }
-  std::lock_guard<std::mutex> lock(mutex_);
-  benchmark_hashes_.emplace(name, hash);
-  return hash;
 }
+
+}  // namespace
 
 CacheKey Server::make_key(const Request& request, flow::DesignStyle style,
                           std::uint64_t content_hash,

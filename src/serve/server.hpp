@@ -123,8 +123,6 @@ class Server {
     return options_.stop != nullptr &&
            options_.stop->load(std::memory_order_relaxed);
   }
-  std::uint64_t benchmark_content_hash(const std::string& name,
-                                       std::string* error);
   CacheKey make_key(const Request& request, flow::DesignStyle style,
                     std::uint64_t netlist_hash,
                     const flow::FlowOptions& options) const;
@@ -135,9 +133,8 @@ class Server {
   bool shutdown_requested_ = false;
   Stopwatch uptime_;
 
-  mutable std::mutex mutex_;  // counters + benchmark-hash memo
+  mutable std::mutex mutex_;  // guards counters_
   ServerCounters counters_;
-  std::unordered_map<std::string, std::uint64_t> benchmark_hashes_;
 };
 
 }  // namespace tp::serve

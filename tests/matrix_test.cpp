@@ -14,8 +14,10 @@
 #include <thread>
 #include <vector>
 
+#include "src/circuits/benchmark.hpp"
 #include "src/circuits/workload.hpp"
 #include "src/flow/matrix.hpp"
+#include "src/netlist/hash.hpp"
 #include "src/util/executor.hpp"
 #include "src/util/log.hpp"
 
@@ -420,6 +422,60 @@ TEST(RunMatrix, UnknownBenchmarkIsCapturedPerTask) {
     EXPECT_TRUE(results[i].ok()) << results[i].error;
     EXPECT_GT(results[i].result.registers, 0);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The process-wide benchmark store the waves read their designs from.
+
+TEST(BenchmarkStore, RacingFirstAccessesShareOneBuild) {
+  // No other test in this binary touches s15850, so these eight threads
+  // race on the slot's first fill. One object comes back to all of them;
+  // a second build into the same slot would be a data race (TSan runs this
+  // binary) or a different address.
+  constexpr std::size_t kThreads = 8;
+  std::vector<const circuits::StoredBenchmark*> seen(kThreads, nullptr);
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      seen[t] = &circuits::stored_benchmark("s15850");
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const circuits::StoredBenchmark* stored : seen) {
+    EXPECT_EQ(stored, seen.front());
+  }
+  EXPECT_EQ(&circuits::stored_benchmark("s15850"), seen.front());
+  EXPECT_EQ(seen.front()->benchmark.name, "s15850");
+}
+
+TEST(BenchmarkStore, StoredDesignsHashLikeAFreshBuild) {
+  for (const char* name : {"s1196", "s5378", "DES3"}) {
+    SCOPED_TRACE(name);
+    const circuits::StoredBenchmark& stored = circuits::stored_benchmark(name);
+    const circuits::Benchmark fresh = circuits::make_benchmark(name);
+    EXPECT_EQ(stored.content_hash, netlist_hash(fresh.netlist));
+    EXPECT_EQ(netlist_hash(stored.benchmark.netlist), stored.content_hash);
+    EXPECT_EQ(stored.benchmark.netlist.num_cells(), fresh.netlist.num_cells());
+    EXPECT_EQ(stored.benchmark.period_ps, fresh.period_ps);
+    EXPECT_EQ(stored.benchmark.paper_workload, fresh.paper_workload);
+  }
+}
+
+TEST(BenchmarkStore, UnknownNameThrowsOnEveryCall) {
+  // The store has one slot per built-in name, so an unknown name has
+  // nowhere to be kept: every call fails the same way.
+  for (int call = 0; call < 3; ++call) {
+    try {
+      circuits::stored_benchmark("no-such-circuit");
+      FAIL() << "the store returned a design for an unknown name";
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(), "unknown benchmark no-such-circuit");
+    }
+  }
+  EXPECT_EQ(circuits::stored_benchmark("s1238").benchmark.name, "s1238");
 }
 
 TEST(RunMatrix, CancelFlagFailsQueuedTasksFast) {

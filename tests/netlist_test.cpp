@@ -50,6 +50,44 @@ TEST(Netlist, WrongPinCountThrows) {
   EXPECT_THROW(nl.add_cell(CellKind::kAnd2, "g", {a}, out), Error);
 }
 
+TEST(Netlist, FourPinsThrow) {
+  // A cell holds at most three pins inline; a fourth is an error, not an
+  // overflow, and the netlist is left as it was.
+  Netlist nl = small_comb();
+  const NetId a = nl.cell(nl.inputs()[0]).out;
+  const NetId b = nl.cell(nl.inputs()[1]).out;
+  const NetId out = nl.add_net("g4");
+  const std::uint64_t edits = nl.edits();
+  EXPECT_THROW(nl.add_cell(CellKind::kAnd3, "g4", {a, b, a, b}, out), Error);
+  const CellId g1 = nl.live_cells()[2];
+  EXPECT_THROW(nl.morph_cell(g1, CellKind::kMaj3, {a, b, a, b}), Error);
+  PinList pins = {a, b, a};
+  EXPECT_THROW(pins.push_back(b), Error);
+  EXPECT_EQ(pins.size(), 3u);
+  EXPECT_EQ(nl.edits(), edits);
+  EXPECT_EQ(nl.cell(g1).kind, CellKind::kAnd2);
+  EXPECT_NO_THROW(nl.validate());
+}
+
+TEST(Netlist, PinListReadsLikeAVector) {
+  const NetId a{4};
+  const NetId b{9};
+  PinList pins;
+  EXPECT_TRUE(pins.empty());
+  pins.push_back(a);
+  pins.push_back(b);
+  EXPECT_EQ(pins.size(), 2u);
+  EXPECT_EQ(pins[1], b);
+  EXPECT_EQ(pins.front(), a);
+  EXPECT_EQ(std::vector<NetId>(pins.begin(), pins.end()),
+            (std::vector<NetId>{a, b}));
+  EXPECT_EQ(pins, (PinList{a, b}));
+  EXPECT_FALSE(pins == (PinList{a}));
+  EXPECT_FALSE(pins == (PinList{a, a}));
+  pins.clear();
+  EXPECT_EQ(pins, PinList{});
+}
+
 TEST(Netlist, DoubleDriverThrows) {
   Netlist nl("bad");
   const CellId a = nl.add_input("a");

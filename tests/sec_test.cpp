@@ -83,9 +83,8 @@ void add_pattern_trap(Netlist& netlist) {
   ASSERT_NE(ff, cells.end());
   const NetId clk = netlist.cell(*ff).ins[1];
   const auto gate = [&](CellKind kind, const std::string& name,
-                        std::vector<NetId> ins, Phase phase = Phase::kNone) {
-    return netlist.cell(netlist.add_gate(kind, name, std::move(ins), phase))
-        .out;
+                        PinList ins, Phase phase = Phase::kNone) {
+    return netlist.cell(netlist.add_gate(kind, name, ins, phase)).out;
   };
   NetId match;
   for (std::uint32_t i = 0; i < 16; ++i) {

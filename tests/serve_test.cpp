@@ -441,6 +441,41 @@ TEST(Server, CacheHitIsByteIdenticalAcrossThreadCounts) {
   EXPECT_EQ(four.counters().cache.memory_hits, 1u);
 }
 
+TEST(Server, CacheKeysKeepTheirContentHashes) {
+  // Cache keys embed each design's netlist_hash(); entries already on disk
+  // keep hitting only while these stay put. Both values were recorded
+  // before the designs moved into the process-wide store.
+  const std::pair<const char*, std::uint64_t> pinned[] = {
+      {"s1196", 0x98f190a693c88fc3ULL}, {"DES3", 0x217ab2d173577145ULL}};
+  for (const auto& [name, hash] : pinned) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(circuits::stored_benchmark(name).content_hash, hash);
+    EXPECT_EQ(netlist_hash(circuits::make_benchmark(name).netlist), hash);
+  }
+  // A served convert is stored under exactly that address.
+  const std::string line =
+      R"({"id":"k","type":"convert","benchmark":"s1196","backend":"ms",)"
+      R"("preset":"fast","cycles":16})";
+  Request req;
+  std::string error;
+  ASSERT_TRUE(parse_request(line, &req, &error)) << error;
+  flow::FlowOptions options;
+  flow::options_from_preset(req.spec.preset, &options);
+  CacheKey key;
+  key.netlist_hash = pinned[0].second;
+  key.style = req.style;
+  key.options_hash = flow::options_hash(options);
+  key.workload = req.spec.workload;
+  key.cycles = req.spec.cycles;
+  key.seed = req.spec.seed;
+  key.lanes = req.spec.lanes;
+  Server server(quick_options(2));
+  ASSERT_FALSE(server.cache().get(key).has_value());
+  const Outcome cold = server.handle_line(line);
+  ASSERT_TRUE(cold.ok) << cold.line;
+  EXPECT_TRUE(server.cache().get(key).has_value());
+}
+
 TEST(Server, PowerEvalSharesTheConvertCacheEntry) {
   Server server(quick_options(2));
   ASSERT_TRUE(server.handle_line(kConvertLine).ok);

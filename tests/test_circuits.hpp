@@ -70,7 +70,7 @@ inline Netlist random_ff_circuit(const RandomCircuitSpec& spec) {
   std::vector<NetId> all = sources;
   for (int g = 0; g < spec.num_gates; ++g) {
     const CellKind kind = kinds[rng.below(std::size(kinds))];
-    std::vector<NetId> ins;
+    PinList ins;
     for (int p = 0; p < num_inputs(kind); ++p) {
       ins.push_back(all[rng.below(all.size())]);
     }

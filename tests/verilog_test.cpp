@@ -138,6 +138,27 @@ TEST(Verilog, RejectsMalformedInput) {
                Error);  // output without assign
 }
 
+TEST(Verilog, RejectsGateWithExtraConnection) {
+  // An AND2 has three pins; a fourth connection is a reader error with
+  // its line, never an overflow of the cell's inline pin list.
+  const std::string text =
+      "module x (a, b, y);\n input a;\n input b;\n output y;\n"
+      " TP_AND2 g (.A(a), .B(b), .C(a), .Y(y));\n assign y = y;\n"
+      "endmodule\n";
+  try {
+    read_verilog_string(text);
+    FAIL() << "the reader accepted an AND2 with four connections";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(),
+                 "verilog:5: g: TP_AND2 has 3 pins, got 4 connections");
+  }
+  EXPECT_THROW(read_verilog_string(
+                   "module x (a, y); input a; output y; "
+                   "TP_INV u (.A(a), .A(a), .Y(y)); assign y = y; "
+                   "endmodule"),
+               Error);  // one pin connected twice
+}
+
 TEST(Verilog, ConstantsRoundTrip) {
   Netlist nl("c");
   const NetId zero = nl.add_net("zero");
