@@ -49,8 +49,9 @@ int main(int argc, char** argv) {
   for (int depth = 1; depth <= max_depth; ++depth) {
     const Netlist ff = linear_pipeline(depth);
     const ThreePhaseResult r = to_three_phase(ff);
-    // Boundaries = depth FFs plus the PI treated as a p1 source; the
-    // minimum inserted latches is ceil((depth + 1) / 2).
+    // Boundaries = depth FFs plus the PI treated as a p1 source; every
+    // other one of the depth + 1 boundaries needs a p2, so the minimum
+    // inserted latches is floor((depth + 1) / 2) = ceil(depth / 2).
     const int minimum = (depth + 1) / 2;
 
     Rng rng(static_cast<std::uint64_t>(depth));

@@ -1,11 +1,8 @@
 // Micro-benchmarks (google-benchmark): phase-assignment solver throughput
-// on random register graphs of increasing size, plus the generic 0-1 ILP
-// branch-and-bound on set-cover-style models.
+// on random register graphs of increasing size.
 #include <benchmark/benchmark.h>
 
-#include "src/ilp/solver.hpp"
 #include "src/phase/assignment.hpp"
-#include "src/phase/ilp_formulation.hpp"
 #include "src/util/rng.hpp"
 
 namespace tp {
@@ -33,7 +30,7 @@ void BM_SpecializedSolver(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const RegisterGraph g = random_graph(n, 4.0 / n, 7);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(assign_phases_specialized(g, 5.0));
+    benchmark::DoNotOptimize(assign_phases_specialized(g));
   }
   state.SetComplexityN(n);
 }
@@ -47,24 +44,6 @@ void BM_GreedySolver(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GreedySolver)->Range(32, 4096);
-
-void BM_GenericIlp(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const RegisterGraph g = random_graph(n, 4.0 / n, 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(assign_phases_ilp(g, 5.0));
-  }
-}
-BENCHMARK(BM_GenericIlp)->Range(16, 256);
-
-void BM_IlpFormulation(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const RegisterGraph g = random_graph(n, 4.0 / n, 7);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(build_phase_ilp(g));
-  }
-}
-BENCHMARK(BM_IlpFormulation)->Range(64, 4096);
 
 }  // namespace
 }  // namespace tp

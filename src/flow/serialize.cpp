@@ -55,14 +55,14 @@ std::string options_fingerprint(const FlowOptions& o) {
   // stage_hook (observation hooks), the nullptr-only executor placeholder,
   // and the lint waiver set (verdict presentation, not flow output). Bump
   // the leading version tag when the flow grows result-affecting options
-  // that default to old behavior, so old fingerprints stay honest.
+  // that default to old behavior, or drops a field, so old fingerprints
+  // stay honest.
   return cat(
-      "flowopts-v4",
+      "flowopts-v5",
       " cg=", static_cast<int>(o.synthesis_cg.style),
       ",", o.synthesis_cg.min_icg_group,
       " buf=", o.buffering.max_fanout,
       " assign=", static_cast<int>(o.assign.method),
-      ",", o.assign.time_limit_s,
       " retime=", o.retime, ",", o.retime_master_slave,
       " p2cg=", o.p2_common_enable_cg,
       " m1=", o.use_m1, " m2=", o.use_m2,

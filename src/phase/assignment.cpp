@@ -80,10 +80,8 @@ PhaseAssignment assignment_from_k(const RegisterGraph& graph,
 PhaseAssignment assign_phases(const RegisterGraph& graph,
                               const AssignOptions& options) {
   switch (options.method) {
-    case AssignMethod::kIlp:
-      return assign_phases_ilp(graph, options.time_limit_s);
     case AssignMethod::kSpecialized:
-      return assign_phases_specialized(graph, options.time_limit_s);
+      return assign_phases_specialized(graph);
     case AssignMethod::kGreedy:
       return assign_phases_greedy(graph);
   }

@@ -52,14 +52,12 @@ PhaseAssignment assignment_from_k(const RegisterGraph& graph,
                                   std::vector<std::uint8_t> k);
 
 enum class AssignMethod {
-  kIlp,          // generic branch-and-bound over the paper's exact ILP
   kSpecialized,  // reduction to maximum independent set + dedicated search
   kGreedy,       // the heuristic baseline (ablation)
 };
 
 struct AssignOptions {
   AssignMethod method = AssignMethod::kSpecialized;
-  double time_limit_s = 10.0;
 };
 
 /// Solves the phase-assignment problem for a register graph.
@@ -67,10 +65,7 @@ PhaseAssignment assign_phases(const RegisterGraph& graph,
                               const AssignOptions& options = {});
 
 // Method-specific entry points (assign_phases dispatches to these).
-PhaseAssignment assign_phases_ilp(const RegisterGraph& graph,
-                                  double time_limit_s);
-PhaseAssignment assign_phases_specialized(const RegisterGraph& graph,
-                                          double time_limit_s);
+PhaseAssignment assign_phases_specialized(const RegisterGraph& graph);
 PhaseAssignment assign_phases_greedy(const RegisterGraph& graph);
 
 }  // namespace tp

@@ -13,18 +13,20 @@
 // This file solves that maximum-independent-set variant exactly via
 // reductions (self-loop removal, isolated inclusion, degree-1 folding),
 // connected-component decomposition, and per-component branch and bound with
-// a greedy incumbent. When a component exceeds the time budget the greedy
-// solution is kept and the result is marked non-optimal. The step budget is
-// part of the result (a truncated search keeps what it held at that step),
-// so the branch and bound skips repeated subtrees only by adding their
-// recorded step counts (SubtreeMemo).
+// a greedy incumbent. When a component's search exceeds its step budget the
+// best assignment found so far is kept and the result is marked
+// non-optimal. No clock is read: the step budget and the size cutoff
+// (kExactLimit) alone decide where a search stops, so the result depends
+// on nothing but the register graph. The step budget is part of the result
+// (a truncated search keeps what it held at that step), so the branch and
+// bound skips repeated subtrees only by adding their recorded step counts
+// (SubtreeMemo).
 #include <algorithm>
 #include <bit>
 #include <numeric>
 
 #include "src/phase/assignment.hpp"
 #include "src/util/hash.hpp"
-#include "src/util/log.hpp"
 #include "src/util/rng.hpp"
 
 namespace tp {
@@ -116,13 +118,8 @@ class SubtreeMemo {
 class ComponentSearch {
  public:
   ComponentSearch(const ConflictGraph& cg, std::vector<int> nodes,
-                  std::vector<std::int8_t>& status, double deadline_s,
-                  Stopwatch& timer)
-      : cg_(cg),
-        nodes_(std::move(nodes)),
-        status_(status),
-        deadline_s_(deadline_s),
-        timer_(timer) {
+                  std::vector<std::int8_t>& status)
+      : cg_(cg), nodes_(std::move(nodes)), status_(status) {
     // Branch high-degree nodes first: they constrain the most.
     std::sort(nodes_.begin(), nodes_.end(), [&](int a, int b) {
       return cg_.adj[static_cast<std::size_t>(a)].size() >
@@ -340,18 +337,13 @@ class ComponentSearch {
   }
 
   /// Per-component search budget: beyond this the incumbent is already the
-  /// answer in practice and the proof is not worth the wall clock.
+  /// answer in practice and the proof is not worth the search.
   static constexpr std::uint64_t kMaxSteps = 4'000'000;
 
-  /// Counts `n` search steps; past the step or time budget the search is
-  /// truncated. The clock is read once per 2048 steps.
+  /// Counts `n` search steps; past the step budget the search is truncated.
   void count_steps(std::uint64_t n) {
-    const std::uint64_t before = steps_;
     steps_ += n;
-    if (steps_ > kMaxSteps ||
-        ((before >> 11) != (steps_ >> 11) && timer_.seconds() > deadline_s_)) {
-      truncated_ = true;
-    }
+    if (steps_ > kMaxSteps) truncated_ = true;
   }
 
   /// One search node: one step, then a bound check, then the branches.
@@ -442,8 +434,6 @@ class ComponentSearch {
   std::size_t pi_word_ = 0;        // first PI word of key_
   std::vector<std::uint64_t> key_;  // memo key of the current state
   SubtreeMemo memo_;
-  double deadline_s_;
-  Stopwatch& timer_;
 
   int best_gain_ = -1;
   std::vector<std::int8_t> best_assign_;
@@ -453,8 +443,7 @@ class ComponentSearch {
 
 }  // namespace
 
-PhaseAssignment assign_phases_specialized(const RegisterGraph& graph,
-                                          double time_limit_s) {
+PhaseAssignment assign_phases_specialized(const RegisterGraph& graph) {
   const ConflictGraph cg = build_conflict_graph(graph);
   const std::size_t n = graph.regs.size();
   std::vector<std::int8_t> status(n, kUndecided);
@@ -534,11 +523,9 @@ PhaseAssignment assign_phases_specialized(const RegisterGraph& graph,
     components.push_back(std::move(members));
   }
 
-  Stopwatch timer;
   bool optimal = true;
   for (auto& members : components) {
-    ComponentSearch search(cg, std::move(members), status, time_limit_s,
-                           timer);
+    ComponentSearch search(cg, std::move(members), status);
     optimal &= search.run();
   }
 

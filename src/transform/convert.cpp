@@ -64,9 +64,8 @@ ThreePhaseResult to_three_phase(const Netlist& ff_netlist,
   nl.set_name(ff_netlist.name() + "_3p");
 
   const RegisterGraph graph = build_register_graph(nl);
-  result.assignment = options.precomputed ? *options.precomputed
-                                          : assign_phases(graph,
-                                                          options.assign);
+  result.assignment =
+      options.precomputed ? *options.precomputed : assign_phases(graph);
   validate_assignment(graph, result.assignment);
 
   require(nl.clocks().phases.size() == 1,

@@ -24,7 +24,6 @@ namespace tp {
 Netlist to_master_slave(const Netlist& ff_netlist);
 
 struct ThreePhaseOptions {
-  AssignOptions assign;
   /// When set, skip solving and use this assignment (indices must match the
   /// register graph of the input netlist). Lets callers time the ILP apart
   /// from the netlist rebuild.

@@ -3,7 +3,6 @@
 #include <iterator>
 
 #include "src/phase/assignment.hpp"
-#include "src/phase/ilp_formulation.hpp"
 #include "src/util/hash.hpp"
 #include "src/util/log.hpp"
 #include "src/util/rng.hpp"
@@ -31,14 +30,29 @@ RegisterGraph make_graph(int num_regs,
   return g;
 }
 
-/// Brute force over all K assignments; returns the minimum objective.
+/// Brute force over all K assignments, each a bitmask (bit u = K(u));
+/// returns the minimum objective. Evaluates the objective the way
+/// assignment_from_k canonicalizes G: a p3 node always inserts, a p1 node
+/// inserts when it feeds a p1 node, and a PI inserts when it feeds one.
 int brute_force_objective(const RegisterGraph& g) {
   const std::size_t n = g.regs.size();
+  auto mask_of = [](const std::vector<int>& nodes) {
+    std::uint32_t m = 0;
+    for (const int v : nodes) m |= std::uint32_t{1} << v;
+    return m;
+  };
+  std::vector<std::uint32_t> fanout(n);
+  for (std::size_t u = 0; u < n; ++u) fanout[u] = mask_of(g.fanout[u]);
+  std::vector<std::uint32_t> pi_fanout;
+  for (const auto& f : g.pi_fanout) pi_fanout.push_back(mask_of(f));
   int best = 1 << 30;
-  for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
-    std::vector<std::uint8_t> k(n);
-    for (std::size_t i = 0; i < n; ++i) k[i] = (mask >> i) & 1;
-    best = std::min(best, assignment_from_k(g, std::move(k)).num_inserted());
+  for (std::uint32_t k = 0; k < (std::uint32_t{1} << n); ++k) {
+    int inserted = 0;
+    for (std::size_t u = 0; u < n; ++u) {
+      inserted += ((k >> u) & 1) == 0 || (fanout[u] & k) != 0;
+    }
+    for (const std::uint32_t f : pi_fanout) inserted += (f & k) != 0;
+    best = std::min(best, inserted);
   }
   return best;
 }
@@ -130,9 +144,9 @@ TEST(PhaseAssignment, GreedyIsValidButMaybeSuboptimal) {
 
 class RandomPhaseTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(RandomPhaseTest, AllSolversMatchBruteForce) {
+TEST_P(RandomPhaseTest, SpecializedMatchesBruteForce) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 977 + 13);
-  const int n = static_cast<int>(rng.range(2, 14));
+  const int n = static_cast<int>(rng.range(2, 18));
   std::vector<std::pair<int, int>> edges;
   for (int u = 0; u < n; ++u) {
     if (rng.chance(0.15)) edges.push_back({u, u});  // self-loops
@@ -153,15 +167,10 @@ TEST_P(RandomPhaseTest, AllSolversMatchBruteForce) {
 
   const int reference = brute_force_objective(g);
 
-  const PhaseAssignment ilp = assign_phases_ilp(g, 30.0);
-  EXPECT_TRUE(ilp.optimal);
-  validate_assignment(g, ilp);
-  EXPECT_EQ(ilp.num_inserted(), reference) << "ILP, n=" << n;
-
-  const PhaseAssignment spec = assign_phases_specialized(g, 30.0);
+  const PhaseAssignment spec = assign_phases_specialized(g);
   EXPECT_TRUE(spec.optimal);
   validate_assignment(g, spec);
-  EXPECT_EQ(spec.num_inserted(), reference) << "specialized, n=" << n;
+  EXPECT_EQ(spec.num_inserted(), reference) << "n=" << n;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPhaseTest, ::testing::Range(0, 80));
@@ -238,7 +247,7 @@ TEST(PhaseAssignment, SearchBudgetResultsMatchRecorded) {
 
 TEST(PhaseAssignment, LargeLayeredGraphSolvesQuickly) {
   // AES-like layered pipeline: 12 layers of 64 FFs, dense layer-to-layer
-  // edges. The specialized solver must handle it within the time budget and
+  // edges. The specialized solver must handle it within its step budget and
   // pick alternate layers.
   Rng rng(99);
   const int layers = 12, width = 64;
@@ -254,7 +263,7 @@ TEST(PhaseAssignment, LargeLayeredGraphSolvesQuickly) {
   }
   const RegisterGraph g = make_graph(layers * width, edges);
   Stopwatch timer;
-  const PhaseAssignment a = assign_phases(g, {.time_limit_s = 10.0});
+  const PhaseAssignment a = assign_phases(g);
   EXPECT_LT(timer.seconds(), 10.0);
   validate_assignment(g, a);
   // Alternate layers single-latch: about half the FFs need insertion; the
