@@ -144,7 +144,7 @@ TEST(PhaseAssignment, GreedyIsValidButMaybeSuboptimal) {
 
 class RandomPhaseTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(RandomPhaseTest, SpecializedMatchesBruteForce) {
+TEST_P(RandomPhaseTest, AllSolversMatchBruteForce) {
   Rng rng(static_cast<std::uint64_t>(GetParam()) * 977 + 13);
   const int n = static_cast<int>(rng.range(2, 18));
   std::vector<std::pair<int, int>> edges;
@@ -171,6 +171,10 @@ TEST_P(RandomPhaseTest, SpecializedMatchesBruteForce) {
   EXPECT_TRUE(spec.optimal);
   validate_assignment(g, spec);
   EXPECT_EQ(spec.num_inserted(), reference) << "n=" << n;
+
+  const PhaseAssignment greedy = assign_phases_greedy(g);
+  validate_assignment(g, greedy);
+  EXPECT_GE(greedy.num_inserted(), reference) << "n=" << n;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPhaseTest, ::testing::Range(0, 80));
